@@ -27,8 +27,8 @@ from .rootsys import DEFAULT_MAX_RANK, RootSystem, build_root_system
 from .schubert import SchubertCalculus
 from .serialize import (canonical_json, parse_rational_list, poly_free_vector,
                         rational_str)
-from .weyl import WeylGroup
-from .workers import compute_columns, session_group
+from .weyl import WeylGroup, generate_weyl
+from .workers import compute_columns
 
 EXIT_OK = 0
 EXIT_NOT_REGULAR = 2
@@ -48,7 +48,6 @@ class JobConfig:
     dmax: int | None = None
     format: str = "json"
     cache_dir: Path = field(default_factory=default_cache_dir)
-    threads: int = 1
     seed: int = 0
     max_rank: int = DEFAULT_MAX_RANK
 
@@ -73,7 +72,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--cache-dir", type=Path, default=None,
                         help=f"cache directory (env WEIGHTVAR_CACHE overrides "
                              f"the default)")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1)  # no effect
         if orbit:
             sp.add_argument("--lambda", required=True, dest="lam",
                             help="positive orbit coefficients c1,...,cl")
@@ -106,8 +105,7 @@ def parse_config(argv: list[str]) -> JobConfig:
     cfg.rank = ns.rank
     cfg.max_rank = ns.max_rank
     cfg.format = ns.format
-    cfg.threads = ns.threads
-    if cfg.threads < 1:
+    if ns.threads < 1:
         raise ConfigError("--threads must be at least 1")
     cfg.cache_dir = ns.cache_dir if ns.cache_dir is not None else default_cache_dir()
     lam = getattr(ns, "lam", None)
@@ -126,7 +124,7 @@ def parse_config(argv: list[str]) -> JobConfig:
 
 def _session(cfg: JobConfig, need_table: bool):
     rs = build_root_system(cfg.type_label, cfg.rank, max_rank=cfg.max_rank)
-    g = session_group(cfg.type_label, cfg.rank, max_rank=cfg.max_rank)
+    g = generate_weyl(rs)
     calc = SchubertCalculus(g)
     if need_table:
         _ensure_table_cached(cfg, g, calc)
@@ -146,11 +144,9 @@ def _ensure_table_cached(cfg: JobConfig, g: WeylGroup,
                   end="", file=sys.stderr)
             columns = None
     if columns is None:
-        cols = compute_columns(cfg.type_label, cfg.rank, range(g.order),
-                               threads=cfg.threads, max_rank=cfg.max_rank)
-        columns = dict(enumerate(cols))
-        store_table(path, g, columns)
-    calc.ensure_table(columns)
+        store_table(path, g, compute_columns(calc))
+    else:
+        calc.ensure_table(columns)
 
 
 def _word_json(g: WeylGroup, w: int) -> dict:
@@ -215,7 +211,7 @@ def _orbit_level(cfg: JobConfig, rs: RootSystem, g: WeylGroup):
     return orbit, mu
 
 
-def _generators_json(g: WeylGroup, calc: SchubertCalculus, specs) -> list[dict]:
+def _generators_json(g: WeylGroup, specs) -> list[dict]:
     top = g.elements[g.w0].length
     out = []
     for s in specs:
@@ -239,7 +235,7 @@ def _cmd_kernel(cfg: JobConfig) -> dict:
         "lambda": poly_free_vector(cfg.lambda_coeffs),
         "mu": poly_free_vector(cfg.mu_coords),
         "count": len(specs),
-        "generators": _generators_json(g, calc, specs),
+        "generators": _generators_json(g, specs),
     }
 
 
@@ -281,8 +277,8 @@ def _cmd_oracle_compare(cfg: JobConfig) -> dict:
         "ideal_dims_theorem": dims_t,
         "ideal_dims_oracle": dims_o,
         "dims_equal": dims_t == dims_o,
-        "theorem_generators": _generators_json(g, calc, theorem),
-        "oracle_generators": _generators_json(g, calc, oracle),
+        "theorem_generators": _generators_json(g, theorem),
+        "oracle_generators": _generators_json(g, oracle),
     }
 
 

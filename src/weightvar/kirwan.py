@@ -128,9 +128,10 @@ def gkm_segments(g: WeylGroup, rs: RootSystem,
     (v, alpha) naming used in diagnostics."""
     out = []
     seen: set[frozenset[TVector]] = set()
+    reflections = [(alpha, g.reflection_element(alpha))
+                   for alpha in rs.positive_roots]
     for v in range(g.order):
-        for alpha in rs.positive_roots:
-            refl = g.reflection_element(alpha)
+        for alpha, refl in reflections:
             w = g.multiply(v, refl)
             a, b = orbit.images[v], orbit.images[w]
             key = frozenset((a, b))

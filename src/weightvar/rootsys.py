@@ -51,13 +51,6 @@ def vzero(rank: int) -> TVector:
     return (Q(0),) * rank
 
 
-def as_tvector(coords, rank: int) -> TVector:
-    v = tuple(Q(c) for c in coords)
-    if len(v) != rank:
-        raise DimensionMismatch(f"expected {rank} coordinates, got {len(v)}")
-    return v
-
-
 def _cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
     """Integer Cartan matrix, rows indexed by the pairing coroot:
     C[i][j] = 2<a_i, a_j> / <a_i, a_i>, so s_i(a_j) = a_j - C[i][j] a_i."""

@@ -8,8 +8,11 @@ all pointwise.
 
 Restrictions of the upper-triangular basis come from the subword-sum
 formula: walking one reduced word of v and keeping the length-increasing
-subword products yields every restriction at v in a single pass, each
-summand a product of positive roots. The basis actually used downstream is
+subword products yields every restriction at v, each summand a product of
+positive roots. The sum does not depend on the word walked, and canonical
+words are lex-minimal, so every prefix of one is canonical too: the column
+at v is one walking step from the column at its parent v s, where s is the
+last letter of v's canonical word. The basis actually used downstream is
 the reflected one (apply the longest element to both the index and the
 polynomials); its support is the Bruhat lower set, and translating it by
 any group element gives the twisted bases.
@@ -133,15 +136,16 @@ class SchubertCalculus:
 
     The subword-sum table is built by need, column by column (a column is
     one restriction point and holds the values of every basis element
-    there); `ensure_table` forces the whole matrix, optionally from
-    precomputed data (the cache file path).
+    there), each from its parent's; `ensure_table` forces the whole matrix,
+    optionally from precomputed data (the cache file path).
     """
 
     def __init__(self, group: WeylGroup):
         self.group = group
         self.rs: RootSystem = group.rs
         self.nvars = self.rs.rank
-        self._xi_columns: dict[int, dict[int, Polynomial]] = {}
+        self._xi_columns: dict[int, dict[int, Polynomial]] = {
+            0: {0: Polynomial.one(self.nvars)}}
         self._schubert: dict[int, EquivariantClass] = {}
         self._subst: dict[int, LinearSubstitution] = {}
         e_plus = Polynomial.one(self.nvars)
@@ -161,29 +165,27 @@ class SchubertCalculus:
     # -- subword sums --------------------------------------------------------
 
     def xi_column(self, v: int) -> dict[int, Polynomial]:
-        """All nonzero values of the upper-triangular basis at point v,
-        computed along v's canonical reduced word."""
+        """All nonzero values of the upper-triangular basis at point v:
+        one subword-sum step from the column at v's parent."""
         got = self._xi_columns.get(v)
         if got is None:
-            got = _compute_xi_column(self.group, v)
+            g = self.group
+            letter = g.elements[v].word[-1]
+            parent = g.right_mult(v, letter)
+            got = _extend_column(g, self.xi_column(parent), parent, letter)
             self._xi_columns[v] = got
         return got
 
-    def ensure_table(self, columns: dict[int, dict[int, Polynomial]] | None = None,
-                     parallel_map=None) -> None:
-        """Force every column, optionally adopting precomputed ones."""
+    def ensure_table(self, columns: dict[int, dict[int, Polynomial]] | None = None
+                     ) -> dict[int, dict[int, Polynomial]]:
+        """Force every column, optionally adopting precomputed ones, and
+        return the whole table. Parents precede children in element order,
+        so each forced column is a single step."""
         if columns is not None:
             self._xi_columns.update(columns)
-        missing = [v for v in range(self.group.order)
-                   if v not in self._xi_columns]
-        if not missing:
-            return
-        if parallel_map is None:
-            for v in missing:
-                self.xi_column(v)
-        else:
-            for v, col in zip(missing, parallel_map(missing)):
-                self._xi_columns[v] = col
+        for v in range(self.group.order):
+            self.xi_column(v)
+        return self._xi_columns
 
     def billey_restriction(self, w: int, v: int) -> Polynomial:
         """Value of the w-th upper-triangular basis element at point v;
@@ -307,31 +309,27 @@ class SchubertCalculus:
         return EquivariantClass(self.nvars, 0 if hd is None else hd, total)
 
 
-def _compute_xi_column(group: WeylGroup, v: int) -> dict[int, Polynomial]:
-    """Subword-sum DP along the canonical reduced word of v.
+def _extend_column(group: WeylGroup, column: dict[int, Polynomial],
+                   prefix: int, letter: int) -> dict[int, Polynomial]:
+    """One subword-sum step: the column at prefix * s_letter from the
+    column at `prefix`; the letter must lengthen the prefix.
 
-    State maps each partial product (always reduced: one letter appended
-    only when the length grows) to the accumulated sum of products of the
-    walked positive roots. Every walked root is asserted positive, which
-    makes each summand a product of positive roots by construction.
+    A column maps each reduced subword product to the accumulated sum of
+    products of the walked positive roots; the step keeps every entry and
+    appends the letter wherever that grows the length. The walked root is
+    asserted positive, which makes each summand a product of positive roots
+    by construction.
     """
     rs = group.rs
-    nvars = rs.rank
-    word = group.elements[v].word
-    state: dict[int, Polynomial] = {0: Polynomial.one(nvars)}
-    prefix = 0
+    root = group.act(prefix, rs.simple_root(letter))
+    assert rs.is_positive_root(root), "reduced-word root not positive"
+    form = Polynomial.linear_form(root)
     lengths = group._lengths
-    for letter in word:
-        root = group.act(prefix, rs.simple_root(letter))
-        assert rs.is_positive_root(root), "reduced-word root not positive"
-        form = Polynomial.linear_form(root)
-        new = dict(state)
-        for u, acc in state.items():
-            us = group.right_mult(u, letter)
-            if lengths[us] > lengths[u]:
-                add = acc * form
-                got = new.get(us)
-                new[us] = add if got is None else got + add
-        state = new
-        prefix = group.right_mult(prefix, letter)
-    return state
+    new = dict(column)
+    for u, acc in column.items():
+        us = group.right_mult(u, letter)
+        if lengths[us] > lengths[u]:
+            add = acc * form
+            got = new.get(us)
+            new[us] = add if got is None else got + add
+    return new

@@ -235,9 +235,6 @@ class WeylGroup:
         return tuple(sum((m * xj for m, xj in zip(row, x)), Q(0))
                      for row in mat)
 
-    def act_root_index(self, w: int, k: int) -> int:
-        return self._perms[w][k]
-
     def reflection_element(self, alpha: TVector) -> int:
         """Group element of the reflection in a root alpha."""
         rs = self.rs

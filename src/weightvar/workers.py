@@ -1,58 +1,17 @@
-"""Deterministic worker-pool mapping for the table-building hot path.
+"""The cold restriction-table build: every column, in element order.
 
-Parallelism must never change any output byte: work is chunked in input
-order, each chunk is computed independently, and results are merged back
-in input order. Workers reconstruct the (type, rank) session on first use
-from a per-process registry; under the fork start method they inherit the
-parent's already-built session for free.
+Columns are built serially, each one subword-sum step from its parent's
+(see `schubert`): at the supported ranks, pickling columns to and from
+worker processes costs more than the workers save. The build keeps this
+name because the benchmark's tracer (`perfbench/tracing.py`) times it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from typing import Iterable
-
-from .rootsys import DEFAULT_MAX_RANK, build_root_system
-from .schubert import _compute_xi_column
-from .weyl import WeylGroup, generate_weyl
-
-_GROUPS: dict[tuple[str, int], WeylGroup] = {}
+from .poly import Polynomial
+from .schubert import SchubertCalculus
 
 
-def session_group(type_label: str, rank: int,
-                  max_rank: int = DEFAULT_MAX_RANK) -> WeylGroup:
-    key = (type_label, rank)
-    g = _GROUPS.get(key)
-    if g is None:
-        g = generate_weyl(build_root_system(type_label, rank, max_rank=max_rank))
-        _GROUPS[key] = g
-    return g
-
-
-def _column_chunk(args: tuple[str, int, int, list[int]]):
-    type_label, rank, max_rank, vids = args
-    g = session_group(type_label, rank, max_rank=max_rank)
-    return [_compute_xi_column(g, v) for v in vids]
-
-
-def _chunks(items: list, n: int) -> list[list]:
-    size = max(1, (len(items) + n - 1) // n)
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def compute_columns(type_label: str, rank: int, vids: Iterable[int],
-                    threads: int = 1, max_rank: int = DEFAULT_MAX_RANK):
-    """Subword-sum columns for the given points, in the given order."""
-    vids = list(vids)
-    if threads <= 1 or len(vids) < 2:
-        g = session_group(type_label, rank, max_rank=max_rank)
-        return [_compute_xi_column(g, v) for v in vids]
-    session_group(type_label, rank, max_rank=max_rank)  # build before forking
-    jobs = [(type_label, rank, max_rank, c) for c in _chunks(vids, threads * 4)]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=threads) as pool:
-        parts = pool.map(_column_chunk, jobs)
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
+def compute_columns(calc: SchubertCalculus) -> dict[int, dict[int, Polynomial]]:
+    """Subword-sum columns for every element, keyed by element id."""
+    return calc.ensure_table()

@@ -242,7 +242,7 @@ def test_criterion_7_quotient_sanity(session):
 
 
 def test_criterion_8_determinism(tmp_path):
-    with criterion(8, "byte-identical output across 1/2/8 workers and "
+    with criterion(8, "byte-identical output across --threads 1/2/8 and "
                       "cold/warm cache"):
         for cmd in ("betti", "kernel"):
             outs = []

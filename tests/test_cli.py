@@ -107,6 +107,7 @@ def test_exit_code_bad_config(capsys, tmp_path):
          "--dmax", "5"],
         ["betti", "--type", "A", "--rank", "1", "--lambda", "1,1", "--mu", "0"],
         ["roots", "--type", "A"],
+        ["roots", "--type", "A", "--rank", "2", "--threads", "0"],
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, argv + ["--cache-dir", str(tmp_path)])
@@ -241,7 +242,7 @@ def test_no_floats_in_any_json_output(capsys, tmp_path):
 
 
 def test_subprocess_entrypoint_determinism(tmp_path):
-    # cold vs warm cache and 1 vs 2 workers, compared as raw bytes
+    # cold vs warm cache and --threads 1 vs 2, compared as raw bytes
     outs = []
     for threads, cache in [("1", "c1"), ("2", "c2"), ("2", "c2")]:
         proc = subprocess.run(

@@ -95,7 +95,8 @@ def _column_along_word(g, word):
     return state
 
 
-@pytest.mark.parametrize("type_label,rank", [("A", 2), ("B", 2)])
+@pytest.mark.parametrize("type_label,rank",
+                         [("A", 2), ("B", 2), ("A", 3), ("G", 2)])
 def test_billey_word_independence(session, type_label, rank):
     ctx = session(type_label, rank)
     calc, g = ctx.calc, ctx.group
