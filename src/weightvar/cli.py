@@ -256,15 +256,16 @@ def _cmd_betti(cfg: JobConfig) -> dict:
 def _cmd_oracle_compare(cfg: JobConfig) -> dict:
     rs, g, calc = _session(cfg, need_table=True)
     orbit, mu = _orbit_level(cfg, rs, g)
-    theorem = kirwan.kernel_generators(g, rs, calc, orbit, mu)
-    oracle = kirwan.tw_oracle_generators(g, rs, calc, orbit, mu)
+    level = kirwan.regular_level(g, rs, orbit, mu)
+    theorem = kirwan.kernel_generators(g, rs, calc, orbit, level)
+    oracle = kirwan.tw_oracle_generators(g, rs, calc, orbit, level)
     top = g.elements[g.w0].length
-    dims_t = kirwan.ideal_graded_dims(
-        g, rs, calc, kirwan.generator_classes(calc, theorem), top)
-    dims_o = kirwan.ideal_graded_dims(
-        g, rs, calc, kirwan.generator_classes(calc, oracle), top)
-    same_classes = ({calc.twisted_class(s.tau, s.v).key() for s in theorem}
-                    == {calc.twisted_class(s.tau, s.v).key() for s in oracle})
+    classes_t = kirwan.generator_classes(calc, theorem)
+    classes_o = kirwan.generator_classes(calc, oracle)
+    dims_t = kirwan.ideal_graded_dims(g, rs, calc, classes_t, top)
+    dims_o = kirwan.ideal_graded_dims(g, rs, calc, classes_o, top)
+    same_classes = ({c.key() for c in classes_t}
+                    == {c.key() for c in classes_o})
     return {
         "type": cfg.type_label,
         "rank": cfg.rank,
@@ -390,10 +391,11 @@ def run_checks(cfg: JobConfig) -> dict:
                                 ok = False
         record("height_monotonicity", ok)
 
-        specs = kirwan.kernel_generators(g, rs, calc, orbit, mu)
+        level = kirwan.regular_level(g, rs, orbit, mu)
+        specs = kirwan.kernel_generators(g, rs, calc, orbit, level)
+        classes = kirwan.generator_classes(calc, specs)
         ok = True
-        for s in specs:
-            cl = calc.twisted_class(s.tau, s.v)
+        for s, cl in zip(specs, classes):
             for j in s.witnesses:
                 xi = g.act(s.tau, rs.fundamental_weights[j])
                 lvl = rs.inner(xi, mu)
@@ -402,9 +404,8 @@ def run_checks(cfg: JobConfig) -> dict:
                     ok = False
         record("generator_one_sidedness", ok)
 
-        oracle = kirwan.tw_oracle_generators(g, rs, calc, orbit, mu)
-        dims_t = kirwan.ideal_graded_dims(
-            g, rs, calc, kirwan.generator_classes(calc, specs), top)
+        oracle = kirwan.tw_oracle_generators(g, rs, calc, orbit, level)
+        dims_t = kirwan.ideal_graded_dims(g, rs, calc, classes, top)
         dims_o = kirwan.ideal_graded_dims(
             g, rs, calc, kirwan.generator_classes(calc, oracle), top)
         record("oracle_ideal_agreement", dims_t == dims_o,

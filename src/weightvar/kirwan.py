@@ -51,6 +51,14 @@ class ReductionLevel:
     mu: TVector
 
 
+@dataclass(frozen=True)
+class RegularLevel(ReductionLevel):
+    """A level that `regular_level` certified regular for `orbit`; the
+    generator enumerations at that orbit do not test it again."""
+
+    orbit: OrbitParameter
+
+
 def _mu_vector(mu) -> TVector:
     return mu.mu if isinstance(mu, ReductionLevel) else mu
 
@@ -171,6 +179,20 @@ def is_regular(g: WeylGroup, rs: RootSystem, orbit: OrbitParameter,
     return True, "regular"
 
 
+def regular_level(g: WeylGroup, rs: RootSystem, orbit: OrbitParameter,
+                  mu: TVector | ReductionLevel) -> RegularLevel:
+    """Refuse the level (MuNotRegularValue, with the is_regular diagnostic)
+    unless it is regular for the orbit; certify it otherwise, so that
+    several enumerations at one level run the test once."""
+    if isinstance(mu, RegularLevel) and mu.orbit == orbit:
+        return mu
+    mu = _mu_vector(mu)
+    ok, diag = is_regular(g, rs, orbit, mu)
+    if not ok:
+        raise MuNotRegularValue(diag)
+    return RegularLevel(mu, orbit)
+
+
 def _fmt(x: TVector) -> str:
     return "(" + ", ".join(str(c) for c in x) + ")"
 
@@ -215,10 +237,7 @@ def kernel_generators(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
     cannot happen at a regular level in rank <= 2, and refusing them keeps
     the closed/open distinction immaterial everywhere.
     """
-    mu = _mu_vector(mu)
-    ok, diag = is_regular(g, rs, orbit, mu)
-    if not ok:
-        raise MuNotRegularValue(diag)
+    mu = regular_level(g, rs, orbit, mu).mu
     pre, lvl = _height_tables(g, rs, orbit, mu)
     inv = g.inverse
     mult = g.multiply
@@ -335,7 +354,8 @@ def _dedupe_rows(rows):
 
 
 def tw_oracle_generators(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
-                         orbit: OrbitParameter, mu: TVector) -> list[KernelGeneratorSpec]:
+                         orbit: OrbitParameter,
+                         mu: TVector | ReductionLevel) -> list[KernelGeneratorSpec]:
     """Enumerate generators by exact one-sidedness of the computed supports.
 
     For each twisted basis element, feasibility over the closed weight
@@ -344,10 +364,7 @@ def tw_oracle_generators(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
     one constraint per support point. No Bruhat shortcut and no
     monotonicity lemma enter this path.
     """
-    mu = _mu_vector(mu)
-    ok, diag = is_regular(g, rs, orbit, mu)
-    if not ok:
-        raise MuNotRegularValue(diag)
+    mu = regular_level(g, rs, orbit, mu).mu
     l = rs.rank
     pre, lvl = _height_tables(g, rs, orbit, mu)
     inv = g.inverse

@@ -2,7 +2,10 @@
 rank computations the graded dimension counts rest on.
 
 Variables are the simple-root coordinates of t*: exponent tuples of fixed
-length l map to nonzero Fractions. All grading downstream is in
+length l map to nonzero exact rationals, held as ints or Fractions (the two
+compare, hash and serialize alike). The Weyl action (`LinearSubstitution`)
+yields int coefficients wherever they are integral, so the twisted and
+Schubert classes built from it carry ints. All grading downstream is in
 half-degrees (a cohomological degree-2d class carries polynomials of total
 degree d); odd cohomology never exists here so it is never represented.
 
@@ -25,7 +28,8 @@ def _grlex_key(exp: tuple[int, ...]) -> tuple:
 
 
 class Polynomial:
-    """Immutable sparse polynomial: exponent tuple -> nonzero Fraction."""
+    """Immutable sparse polynomial: exponent tuple -> nonzero int or
+    Fraction."""
 
     __slots__ = ("nvars", "terms", "_hash")
 
@@ -187,7 +191,7 @@ class Polynomial:
             if any(x < 0 for x in exp):
                 raise NonExactDivision(
                     f"{self.as_string()} is not divisible by {q.as_string()}")
-            coeff = rc / qc
+            coeff = Q(rc, qc)
             out[exp] = out.get(exp, Q(0)) + coeff
             rem = rem - q * Polynomial.monomial(exp, coeff)
             if not rem.is_zero() and _grlex_key(rem.leading()[0]) >= _grlex_key(re):
@@ -211,37 +215,59 @@ class Polynomial:
         return cls(nvars, terms)
 
 
+def _exact(c):
+    """An exact rational as an int when it is integral, else a Fraction."""
+    c = Q(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class LinearSubstitution:
-    """Variable substitution by linear forms with a persistent power cache.
+    """Variable substitution by linear forms, with a memo of monomial images.
 
     The Weyl action applies the same matrix to thousands of polynomials, so
-    powers of the image forms are memoized across calls; build one instance
-    per matrix and reuse it.
+    the image of every monomial met is kept for the life of the instance,
+    as a sparse {exponent: coefficient} map; build one instance per matrix
+    and reuse it. Each image is the image one degree lower times one
+    column's linear form. Coefficients stay ints wherever they are integral
+    (a Weyl action matrix in simple-root coordinates is an integer matrix,
+    and every restriction-table polynomial is integral), and exact
+    Fractions otherwise.
     """
 
     def __init__(self, matrix):
         n = len(matrix)
         self.nvars = n
-        self._powers: list[list[Polynomial]] = [
-            [Polynomial.one(n),
-             Polynomial.linear_form(tuple(matrix[r][i] for r in range(n)))]
-            for i in range(n)]
+        # column i, the image of variable i, as (row, coefficient) pairs
+        self._columns = [[(r, _exact(matrix[r][i])) for r in range(n)
+                          if matrix[r][i] != 0] for i in range(n)]
+        zero = (0,) * n
+        self._images: dict[tuple[int, ...], dict[tuple[int, ...], int | Q]] = {
+            zero: {zero: 1}}
+
+    def _image(self, e: tuple[int, ...]) -> dict[tuple[int, ...], int | Q]:
+        got = self._images.get(e)
+        if got is None:
+            i = next(i for i, k in enumerate(e) if k)
+            lower = self._image(e[:i] + (e[i] - 1,) + e[i + 1:])
+            got = {}
+            for r, a in self._columns[i]:
+                for m, c in lower.items():
+                    m = m[:r] + (m[r] + 1,) + m[r + 1:]
+                    got[m] = got.get(m, 0) + a * c
+            got = {m: c for m, c in got.items() if c}
+            self._images[e] = got
+        return got
 
     def __call__(self, p: Polynomial) -> Polynomial:
-        n = self.nvars
-        if p.nvars != n:
+        if p.nvars != self.nvars:
             raise DimensionMismatch("matrix size does not match variables")
-        powers = self._powers
-        out = Polynomial.zero(n)
+        out: dict[tuple[int, ...], int | Q] = {}
         for e, c in p.terms.items():
-            term = Polynomial.constant(n, c)
-            for i, k in enumerate(e):
-                while len(powers[i]) <= k:
-                    powers[i].append(powers[i][-1] * powers[i][1])
-                if k:
-                    term = term * powers[i][k]
-            out = out + term
-        return out
+            if c.denominator == 1:
+                c = c.numerator
+            for m, a in self._image(e).items():
+                out[m] = out.get(m, 0) + c * a
+        return Polynomial(self.nvars, out)
 
 
 def divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -270,8 +296,9 @@ def monomial_basis(nvars: int, degree: int) -> list[tuple[int, ...]]:
 # -- exact rank ---------------------------------------------------------------
 
 
-def _int_row(values: dict[int, Q]) -> dict[int, int]:
-    """Scale a sparse rational row to coprime integers (sign-normalized)."""
+def _int_row(values: dict[int, int | Q]) -> dict[int, int]:
+    """Scale a sparse rational row (ints or Fractions, zeros allowed) to
+    coprime integers (sign-normalized)."""
     if not values:
         return {}
     denom = 1
@@ -308,8 +335,8 @@ class IncrementalRank:
         """The stored echelon rows (integer, gcd-normalized)."""
         return [dict(r) for r in self._pivots.values()]
 
-    def add_row(self, values: dict[int, Q]) -> bool:
-        row = _int_row({c: Q(v) for c, v in values.items() if v != 0})
+    def add_row(self, values: dict[int, int | Q]) -> bool:
+        row = _int_row(values)
         if not row:
             return False
         sig = tuple(sorted(row.items()))
@@ -368,9 +395,9 @@ class ModularRank:
         """Insert a row whose values are already reduced mod p."""
         return self._reduce({c: v for c, v in row.items() if v % self.p})
 
-    def add_row(self, values: dict[int, Q]) -> bool:
+    def add_row(self, values: dict[int, int | Q]) -> bool:
         p = self.p
-        ints = _int_row({c: Q(v) for c, v in values.items() if v != 0})
+        ints = _int_row(values)
         row = {}
         for c, v in ints.items():
             m = v % p

@@ -4,8 +4,9 @@ from fractions import Fraction as Q
 import pytest
 
 from weightvar.errors import DimensionMismatch, NonExactDivision
-from weightvar.poly import (IncrementalRank, Polynomial, RationalMatrix,
-                            divide_exact, monomial_basis, rank_over_Q)
+from weightvar.poly import (IncrementalRank, LinearSubstitution, ModularRank,
+                            Polynomial, RationalMatrix, divide_exact,
+                            monomial_basis, rank_over_Q)
 
 
 def P(nvars, terms):
@@ -78,6 +79,61 @@ def test_apply_matrix_is_ring_homomorphism_and_action(session):
                     g.elements[a].action)
 
 
+def _evaluate(p, point):
+    """p at a point, term by term over Fractions."""
+    total = Q(0)
+    for e, c in p.terms.items():
+        term = Q(c)
+        for x, k in zip(point, e):
+            term *= Q(x) ** k
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("type_label,rank",
+                         [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_apply_matrix_matches_evaluation_at_transformed_point(session,
+                                                             type_label, rank):
+    # variable i goes to the form in column i, so p(M)(y) = p(M^T y)
+    g = session(type_label, rank).group
+    top = g.elements[g.w0].length
+    rng = random.Random(31 + rank)
+    monos = [m for d in range(top + 1) for m in monomial_basis(rank, d)]
+    polys = [Polynomial(rank, {m: Q(rng.randint(-3, 3))
+                               for m in rng.sample(monos, 6)})
+             for _ in range(3)]
+    polys.append(Polynomial(rank, {m: Q(1) for m in monomial_basis(rank, top)}))
+    for w in range(g.order):
+        m = g.elements[w].action
+        subst = LinearSubstitution(m)
+        for p in polys:
+            image = subst(p)
+            assert image == p.apply_matrix(m)
+            for _ in range(3):
+                y = [rng.randint(-4, 4) for _ in range(rank)]
+                x = [sum(m[r][i] * y[r] for r in range(rank))
+                     for i in range(rank)]
+                assert _evaluate(image, y) == _evaluate(p, x)
+
+
+def test_apply_matrix_coefficient_types(session):
+    g = session("B", 2).group
+    m = next(e.action for e in g.elements if e.word == (0, 1))
+    integral = P(2, {(2, 1): 3, (0, 3): -1, (1, 0): 5})
+    image = integral.apply_matrix(m)
+    assert image.terms and all(type(c) is int
+                               for c in image.terms.values())
+    assert image.key() == tuple((e, int(c), 1)
+                                for e, c in image.sorted_terms())
+    half = P(2, {(2, 1): Q(1, 2), (0, 3): -1})
+    image = half.apply_matrix(m)
+    assert all(isinstance(c, (int, Q)) for c in image.terms.values())
+    assert any(isinstance(c, Q) and c.denominator == 2
+               for c in image.terms.values())
+    assert image == (P(2, {(2, 1): 1}).apply_matrix(m).scale(Q(1, 2))
+                     - P(2, {(0, 3): 1}).apply_matrix(m))
+
+
 def test_divide_exact_examples():
     p = P(2, {(2, 0): 1, (1, 1): 1})
     assert p.divide_exact(A1) == A1 + A2
@@ -90,6 +146,10 @@ def test_divide_exact_examples():
         (A1 * A1 + A2).divide_exact(A1)
     with pytest.raises(ZeroDivisionError):
         A1.divide_exact(Polynomial.zero(2))
+    # int coefficients divide exactly, never into floats
+    q = Polynomial(2, {(1, 0): 3}).divide_exact(Polynomial(2, {(1, 0): 2}))
+    assert q == Polynomial.constant(2, Q(3, 2))
+    assert isinstance(q.coefficient((0, 0)), Q)
 
 
 def test_divide_exact_roundtrip_randomized():
@@ -175,6 +235,13 @@ def test_incremental_rank_growth():
     assert acc.add_row({0: Q(1), 1: Q(1), 2: Q(2)}) is False  # dependent
     assert acc.rank == 2
     assert acc.add_row({}) is False
+    # int rows, zero entries included, count as their Fraction equals
+    for acc in (IncrementalRank(), ModularRank()):
+        assert acc.add_row({0: 2, 1: 0, 2: 4}) is True
+        assert acc.add_row({0: Q(1, 3), 2: Q(2, 3)}) is False
+        assert acc.add_row({1: -6, 2: Q(1, 2)}) is True
+        assert acc.add_row({0: 0}) is False
+        assert acc.rank == 2
 
 
 def test_json_roundtrip():
