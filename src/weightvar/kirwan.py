@@ -53,10 +53,14 @@ class ReductionLevel:
 
 @dataclass(frozen=True)
 class RegularLevel(ReductionLevel):
-    """A level that `regular_level` certified regular for `orbit`; the
-    generator enumerations at that orbit do not test it again."""
+    """A level that `regular_level` certified regular for `orbit`, with the
+    height tables the test read: pre[j][u] = <lambda_j, u lambda> and
+    lvl[j][t] = <lambda_j, t mu>. The generator enumerations at that orbit
+    read their heights from here and do not test the level again."""
 
     orbit: OrbitParameter
+    pre: tuple[tuple[Q, ...], ...]
+    lvl: tuple[tuple[Q, ...], ...]
 
 
 def _mu_vector(mu) -> TVector:
@@ -159,38 +163,62 @@ def _on_segment(mu: TVector, a: TVector, b: TVector) -> bool:
     return Q(0) <= t <= Q(1) and m == vscale(t, d)
 
 
-def is_regular(g: WeylGroup, rs: RootSystem, orbit: OrbitParameter,
-               mu: TVector | ReductionLevel) -> tuple[bool, str]:
-    """Regular-value test: strictly inside the orbit polytope and (rank >= 2)
-    off every critical segment. The diagnostic names the offender."""
-    mu = _mu_vector(mu)
-    for d in chamber_directions(g, rs):
-        top = max(rs.inner(d, p) for p in orbit.images)
-        h = rs.inner(d, mu)
-        if h > top:
-            return False, f"outside the moment polytope in direction {_fmt(d)}"
-        if h == top:
-            return False, f"on the facet with outward direction {_fmt(d)}"
-    if rs.rank >= 2:
-        for a, b, v, alpha in gkm_segments(g, rs, orbit):
-            if _on_segment(mu, a, b):
-                return False, (f"on the critical segment [v.lam, v.s_a.lam] "
-                               f"with v id {v}, alpha {_fmt(alpha)}")
-    return True, "regular"
+def _height_tables(g: WeylGroup, rs: RootSystem, orbit: OrbitParameter,
+                   mu: TVector):
+    """pre[j][u] = <lambda_j, u lambda>, lvl[j][t] = <lambda_j, t mu>."""
+    fw = rs.fundamental_weights
+    pre = tuple(tuple(rs.inner(w, img) for img in orbit.images) for w in fw)
+    lvl = tuple(tuple(rs.inner(w, g.act(t, mu)) for t in range(g.order))
+                for w in fw)
+    return pre, lvl
 
 
 def regular_level(g: WeylGroup, rs: RootSystem, orbit: OrbitParameter,
                   mu: TVector | ReductionLevel) -> RegularLevel:
-    """Refuse the level (MuNotRegularValue, with the is_regular diagnostic)
-    unless it is regular for the orbit; certify it otherwise, so that
-    several enumerations at one level run the test once."""
+    """The one regular-value test: strictly inside the orbit polytope and
+    (rank >= 2) off every critical segment. Refuses the level with
+    MuNotRegularValue, whose diagnostic names the offender, and otherwise
+    certifies it with its height tables.
+
+    The polytope part reads the height tables alone. By W-invariance the
+    chamber direction t lambda_j has top height max_u pre[j][u] and level
+    height lvl[j][t^-1]; directions are scanned in (t, j) order, so the
+    first one that fails is the first distinct Weyl translate of a
+    fundamental weight that fails.
+    """
     if isinstance(mu, RegularLevel) and mu.orbit == orbit:
         return mu
     mu = _mu_vector(mu)
-    ok, diag = is_regular(g, rs, orbit, mu)
-    if not ok:
-        raise MuNotRegularValue(diag)
-    return RegularLevel(mu, orbit)
+    pre, lvl = _height_tables(g, rs, orbit, mu)
+    tops = [max(row) for row in pre]
+    fw = rs.fundamental_weights
+    for t in range(g.order):
+        ti = g.inverse(t)
+        for j, top in enumerate(tops):
+            h = lvl[j][ti]
+            if h >= top:
+                d = _fmt(g.act(t, fw[j]))
+                raise MuNotRegularValue(
+                    f"outside the moment polytope in direction {d}" if h > top
+                    else f"on the facet with outward direction {d}")
+    if rs.rank >= 2:
+        for a, b, v, alpha in gkm_segments(g, rs, orbit):
+            if _on_segment(mu, a, b):
+                raise MuNotRegularValue(
+                    f"on the critical segment [v.lam, v.s_a.lam] "
+                    f"with v id {v}, alpha {_fmt(alpha)}")
+    return RegularLevel(mu, orbit, pre, lvl)
+
+
+def is_regular(g: WeylGroup, rs: RootSystem, orbit: OrbitParameter,
+               mu: TVector | ReductionLevel) -> tuple[bool, str]:
+    """(ok, diagnostic) view of `regular_level`: (True, "regular"), or False
+    with the refusal's diagnostic."""
+    try:
+        regular_level(g, rs, orbit, mu)
+    except MuNotRegularValue as exc:
+        return False, exc.diagnostic
+    return True, "regular"
 
 
 def _fmt(x: TVector) -> str:
@@ -218,15 +246,6 @@ def facet_normals(g: WeylGroup, rs: RootSystem,
 # -- the main enumeration ------------------------------------------------------
 
 
-def _height_tables(g: WeylGroup, rs: RootSystem, orbit: OrbitParameter,
-                   mu: TVector):
-    """pre[j][u] = <lambda_j, u lambda>, lvl[j][t] = <lambda_j, t mu>."""
-    fw = rs.fundamental_weights
-    pre = [[rs.inner(w, img) for img in orbit.images] for w in fw]
-    lvl = [[rs.inner(w, g.act(t, mu)) for t in range(g.order)] for w in fw]
-    return pre, lvl
-
-
 def kernel_generators(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
                       orbit: OrbitParameter,
                       mu: TVector | ReductionLevel) -> list[KernelGeneratorSpec]:
@@ -237,8 +256,8 @@ def kernel_generators(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
     cannot happen at a regular level in rank <= 2, and refusing them keeps
     the closed/open distinction immaterial everywhere.
     """
-    mu = regular_level(g, rs, orbit, mu).mu
-    pre, lvl = _height_tables(g, rs, orbit, mu)
+    level = regular_level(g, rs, orbit, mu)
+    pre, lvl = level.pre, level.lvl
     inv = g.inverse
     mult = g.multiply
     specs: list[KernelGeneratorSpec] = []
@@ -262,32 +281,16 @@ def kernel_generators(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
 
 def _dedupe_by_class(calc: SchubertCalculus,
                      specs: list[KernelGeneratorSpec]) -> list[KernelGeneratorSpec]:
-    """Keep one spec per distinct restriction vector, in (tau, v) order.
-
-    Equal classes necessarily share (half-degree, support), so specs are
-    bucketed by that cheap signature first and the polynomials are only
-    materialized inside buckets that actually collide.
-    """
-    g = calc.group
-    top = g.elements[g.w0].length
-    buckets: dict[tuple, list[KernelGeneratorSpec]] = {}
-    for spec in sorted(specs, key=lambda s: (s.tau, s.v)):
-        u = g.multiply(g.inverse(spec.tau), spec.v)
-        sig = (top - g.elements[u].length,
-               calc.twisted_support(spec.tau, spec.v))
-        buckets.setdefault(sig, []).append(spec)
+    """Keep the first spec, in (tau, v) order, of each distinct restriction
+    vector. Each spec's class is twisted once; the calculator keeps it, so
+    generator_classes hands the kept ones back without twisting again."""
+    seen: set[tuple] = set()
     out = []
-    for sig, members in buckets.items():
-        if len(members) == 1:
-            out.append(members[0])
-            continue
-        seen: set[tuple] = set()
-        for spec in members:
-            key = calc.twisted_class(spec.tau, spec.v).key()
-            if key not in seen:
-                seen.add(key)
-                out.append(spec)
-    out.sort(key=lambda s: (s.tau, s.v))
+    for spec in sorted(specs, key=lambda s: (s.tau, s.v)):
+        key = calc.twisted_class(spec.tau, spec.v).key()
+        if key not in seen:
+            seen.add(key)
+            out.append(spec)
     return out
 
 
@@ -364,9 +367,9 @@ def tw_oracle_generators(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
     one constraint per support point. No Bruhat shortcut and no
     monotonicity lemma enter this path.
     """
-    mu = regular_level(g, rs, orbit, mu).mu
+    level = regular_level(g, rs, orbit, mu)
+    pre, lvl = level.pre, level.lvl
     l = rs.rank
-    pre, lvl = _height_tables(g, rs, orbit, mu)
     inv = g.inverse
     mult = g.multiply
     specs = []
@@ -406,11 +409,13 @@ def ideal_graded_dims(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
 
     Rows are restriction coordinates of generator * basis-element products,
     flattened over (fixed point, degree-d monomial). Each slice is first
-    streamed through a mod-p eliminator: reaching the full slice dimension
-    there certifies the exact answer (mod-p independence of integer rows
-    implies independence over Q). Slices that fall short are recomputed by
-    exact fraction-free elimination, seeded with the rows the modular pass
-    proved independent.
+    streamed through a mod-p eliminator, starting from the previous slice's
+    mod-p pivot rows shifted by each variable (the ideal is closed under
+    multiplication by the coordinate forms): reaching the full slice
+    dimension there certifies the exact answer (mod-p independence of
+    integer rows implies independence over Q). Slices that fall short are
+    recomputed by exact fraction-free elimination of the degree-d generator
+    rows alone, which span the whole slice.
     """
     l = rs.rank
     top = g.elements[g.w0].length
@@ -428,7 +433,6 @@ def ideal_graded_dims(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
 
     prev_monos: list[tuple[int, ...]] = []
     prev_modular: list[dict[int, int]] = []
-    prev_exact: list[dict[int, int]] = []
     for d in range(dmax + 1):
         monos = monomial_basis(l, d)
         mono_rank = {m: i for i, m in enumerate(monos)}
@@ -436,12 +440,11 @@ def ideal_graded_dims(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
         h_dim = sum(len(monomial_basis(l, d - codims[w])) for w in range(g.order)
                     if codims[w] <= d)
 
-        def carried(rows_prev: list[dict[int, int]]):
-            # the ideal is closed under multiplication by the coordinate
-            # forms, so pivot rows of the previous slice, with every
-            # exponent vector shifted by one variable, land in this slice
+        def carried():
+            # pivot rows of the previous slice, with every exponent vector
+            # shifted by one variable, land in this slice
             nm_prev = len(prev_monos)
-            for prow in rows_prev:
+            for prow in prev_modular:
                 for i in range(l):
                     row: dict[int, int] = {}
                     for col, val in prow.items():
@@ -475,39 +478,23 @@ def ideal_graded_dims(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
                     yield row
 
         modular = ModularRank()
-        for row in carried(prev_modular):
-            if modular.add_modular_row(row):
-                if modular.rank == h_dim:
-                    break
-        seeds: list[dict[int, Q]] = []
+        for row in carried():
+            if modular.add_modular_row(row) and modular.rank == h_dim:
+                break
         if modular.rank != h_dim:
             for row in rows():
-                if modular.add_row(row):
-                    seeds.append(row)
-                if modular.rank == h_dim:
+                if modular.add_row(row) and modular.rank == h_dim:
                     break
+        prev_monos, prev_modular = monos, modular.pivot_rows()
         if modular.rank == h_dim:
             dims.append(h_dim)
-            prev_monos, prev_modular = monos, modular.pivot_rows()
-            prev_exact = []
             continue
 
         acc = IncrementalRank()
-        for row in carried(prev_exact):
+        for row in rows():
             if acc.add_row(row) and acc.rank == h_dim:
                 break
-        for row in seeds:
-            if acc.rank == h_dim:
-                break
-            acc.add_row(row)
-        if acc.rank != h_dim:
-            for row in rows():
-                acc.add_row(row)
-                if acc.rank == h_dim:
-                    break
         dims.append(acc.rank)
-        prev_monos, prev_modular = monos, modular.pivot_rows()
-        prev_exact = acc.pivot_rows()
     return dims
 
 
@@ -528,7 +515,6 @@ def quotient_betti(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
     degrees past D are always computed and must vanish (internal check).
     An explicit dmax may not exceed len(w0).
     """
-    mu = _mu_vector(mu)
     top = g.elements[g.w0].length
     dim_half = top - rs.rank
     if dmax is not None and dmax > top:

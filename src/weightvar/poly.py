@@ -5,9 +5,10 @@ Variables are the simple-root coordinates of t*: exponent tuples of fixed
 length l map to nonzero exact rationals, held as ints or Fractions (the two
 compare, hash and serialize alike). The Weyl action (`LinearSubstitution`)
 yields int coefficients wherever they are integral, so the twisted and
-Schubert classes built from it carry ints. All grading downstream is in
-half-degrees (a cohomological degree-2d class carries polynomials of total
-degree d); odd cohomology never exists here so it is never represented.
+Schubert classes built from it carry ints, and sums and products of int
+coefficients stay ints. All grading downstream is in half-degrees (a
+cohomological degree-2d class carries polynomials of total degree d); odd
+cohomology never exists here so it is never represented.
 
 Rank is computed fraction-free: rows are scaled to integers and reduced by
 cross-multiplication with gcd-normalized multipliers, so no rational
@@ -103,14 +104,14 @@ class Polynomial:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Q(0)) + c
+            out[e] = out[e] + c if e in out else c
         return Polynomial(self.nvars, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Q(0)) - c
+            out[e] = out[e] - c if e in out else -c
         return Polynomial(self.nvars, out)
 
     def __neg__(self) -> "Polynomial":
@@ -122,7 +123,8 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Q(0)) + c1 * c2
+                c = c1 * c2
+                out[e] = out[e] + c if e in out else c
         return Polynomial(self.nvars, out)
 
     def scale(self, c) -> "Polynomial":
@@ -330,10 +332,6 @@ class IncrementalRank:
     @property
     def rank(self) -> int:
         return len(self._pivots)
-
-    def pivot_rows(self) -> list[dict[int, int]]:
-        """The stored echelon rows (integer, gcd-normalized)."""
-        return [dict(r) for r in self._pivots.values()]
 
     def add_row(self, values: dict[int, int | Q]) -> bool:
         row = _int_row(values)

@@ -43,10 +43,10 @@ class EquivariantClass:
     total degree `half_degree` (cohomological degree 2*half_degree).
     """
 
-    __slots__ = ("nvars", "half_degree", "restrictions", "label", "_key")
+    __slots__ = ("nvars", "half_degree", "restrictions", "_key")
 
     def __init__(self, nvars: int, half_degree: int,
-                 restrictions: dict[int, Polynomial], label: str | None = None):
+                 restrictions: dict[int, Polynomial]):
         clean: dict[int, Polynomial] = {}
         for v, p in restrictions.items():
             if p.is_zero():
@@ -59,7 +59,6 @@ class EquivariantClass:
         self.nvars = nvars
         self.half_degree = half_degree
         self.restrictions = clean
-        self.label = label
         self._key: tuple | None = None
 
     def restriction(self, v: int) -> Polynomial:
@@ -138,6 +137,10 @@ class SchubertCalculus:
     one restriction point and holds the values of every basis element
     there), each from its parent's; `ensure_table` forces the whole matrix,
     optionally from precomputed data (the cache file path).
+
+    Basis and twisted-basis classes are kept once built, for the life of the
+    instance, so a query that enumerates, de-duplicates and multiplies the
+    same classes twists each of them once; build one instance per query.
     """
 
     def __init__(self, group: WeylGroup):
@@ -147,6 +150,7 @@ class SchubertCalculus:
         self._xi_columns: dict[int, dict[int, Polynomial]] = {
             0: {0: Polynomial.one(self.nvars)}}
         self._schubert: dict[int, EquivariantClass] = {}
+        self._twisted: dict[tuple[int, int], EquivariantClass] = {}
         self._subst: dict[int, LinearSubstitution] = {}
         e_plus = Polynomial.one(self.nvars)
         for r in self.rs.positive_roots:
@@ -210,7 +214,7 @@ class SchubertCalculus:
                     restr[v] = subst(p)
             got = EquivariantClass(
                 self.nvars, g.elements[w0].length - g.elements[w].length,
-                restr, label=f"x[{w}]")
+                restr)
             self._schubert[w] = got
         return got
 
@@ -225,15 +229,18 @@ class SchubertCalculus:
         subst = self._substitution(tau)
         restr = {g.multiply(tau, u): subst(p)
                  for u, p in c.restrictions.items()}
-        label = f"w[{tau}].{c.label}" if c.label else None
-        return EquivariantClass(self.nvars, c.half_degree, restr, label)
+        return EquivariantClass(self.nvars, c.half_degree, restr)
 
     def twisted_class(self, tau: int, v: int) -> EquivariantClass:
         """Element of the tau-twisted basis indexed by v, supported on
         {u : tau^{-1} u <= tau^{-1} v}."""
-        g = self.group
-        return self.weyl_twist(
-            self.schubert_class(g.multiply(g.inverse(tau), v)), tau)
+        got = self._twisted.get((tau, v))
+        if got is None:
+            g = self.group
+            got = self.weyl_twist(
+                self.schubert_class(g.multiply(g.inverse(tau), v)), tau)
+            self._twisted[(tau, v)] = got
+        return got
 
     def twisted_support(self, tau: int, v: int) -> frozenset[int]:
         """Support of the twisted basis element, without materializing it:

@@ -66,6 +66,40 @@ GOLDEN = [
      "betti --type B --rank 2 --lambda 1,1 --mu=0,-1",
      EMPTY,
      "4855b06ef7a0497abbd04b45ce640ddcf3219f2fbba52f9d1cdcf3476f985d56", 2),
+    ("refusal-kernel-A2-outside",
+     "kernel --type A --rank 2 --lambda 1,1 --mu 3,3",
+     EMPTY,
+     "256e9f6de1669647a52dedec4cd735c73386e47f7f8ed910224aac6dcaf504c4", 2),
+    ("refusal-kernel-A2-facet",
+     "kernel --type A --rank 2 --lambda 1,1 --mu=0,-3/2",
+     EMPTY,
+     "762967a0df028e07b763b39553245028fe1fbb99664f739d5fc26b7ea0c2276d", 2),
+    ("refusal-kernel-A3-outside",
+     "kernel --type A --rank 3 --lambda 1,1,1 --mu 3,0,0",
+     EMPTY,
+     "84b86475afa33ada480cbb1ca2582235ab65674dd25637677e60db47e58fb190", 2),
+    ("refusal-kernel-A3-wall-coincidence",
+     "kernel --type A --rank 3 --lambda 1,1,1 --mu 0,0,0",
+     EMPTY,
+     "4c323e77a693d4cbd3a55af8f9a0601f26e1931a4cf5e2ff05f02f3a0598c657", 2),
+    # the midpoint of lambda and s_1 lambda, two adjacent vertices
+    ("refusal-kernel-B2-facet",
+     "kernel --type B --rank 2 --lambda 1,1 --mu=0,-2",
+     EMPTY,
+     "576d2ec791a5984ffdb8e38f74d08a996f80fe2b1a276dc129fa0f6992379342", 2),
+    ("refusal-kernel-G2-facet",
+     "kernel --type G --rank 2 --lambda 1,1 --mu=0,-3/2",
+     EMPTY,
+     "da5edd12f84735bcc4084174f2239a601c5a6702301d99a7a060b6f67ecb4cac", 2),
+    ("betti-A3",
+     "betti --type A --rank 3 --lambda 2,1,3 "
+     "--mu=1551/1559,405/1559,-1728/1559",
+     "08d92c1dd27eb882ea2a2e0937634dacdf362b65e603059787168aab990a5a31",
+     EMPTY, 0),
+    ("check-A2-level",
+     "check --type A --rank 2 --lambda 2,1 --mu=85/202,-49/202",
+     "335c0a3a59623ab9d2329422dea197c1631c36d7ba8c4f0ac83478fea5280bd5",
+     EMPTY, 0),
 ]
 
 

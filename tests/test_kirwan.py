@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -84,6 +85,91 @@ def test_is_regular_a2_segment(session):
     assert not ok and "segment" in diag
     for muw in A2_CHAMBER_MUS + [A2_NEARBY[1]]:
         assert K.is_regular(g, rs, orbit, mu_of(rs, muw))[0]
+
+
+def _reference_is_regular(g, rs, orbit):
+    """The regular-value test as a loop over chamber directions: each
+    distinct Weyl translate of a fundamental weight, with the top height of
+    the fixed points in it; then the critical segments. Returns the test
+    as a function of the level."""
+    def fmt(x):
+        return "(" + ", ".join(str(c) for c in x) + ")"
+
+    directions = {}
+    for t in range(g.order):
+        for w in rs.fundamental_weights:
+            directions.setdefault(g.act(t, w))
+    tops = [(d, max(rs.inner(d, p) for p in orbit.images)) for d in directions]
+    segments = []
+    seen = set()
+    reflections = [(alpha, g.reflection_element(alpha))
+                   for alpha in rs.positive_roots]
+    for v in range(g.order):
+        for alpha, refl in reflections:
+            a = orbit.images[v]
+            b = orbit.images[g.multiply(v, refl)]
+            if frozenset((a, b)) not in seen:
+                seen.add(frozenset((a, b)))
+                segments.append((a, b, v, alpha))
+
+    def test(mu):
+        for d, top in tops:
+            h = rs.inner(d, mu)
+            if h > top:
+                return False, f"outside the moment polytope in direction {fmt(d)}"
+            if h == top:
+                return False, f"on the facet with outward direction {fmt(d)}"
+        if rs.rank >= 2:
+            for a, b, v, alpha in segments:
+                d, m = vsub(b, a), vsub(mu, a)
+                k = next(i for i, x in enumerate(d) if x != 0)
+                s = m[k] / d[k]
+                if 0 <= s <= 1 and m == vscale(s, d):
+                    return False, (f"on the critical segment [v.lam, v.s_a.lam] "
+                                   f"with v id {v}, alpha {fmt(alpha)}")
+        return True, "regular"
+
+    return test
+
+
+@pytest.mark.parametrize("t,r,lam", [("A", 1, [2]), ("A", 2, [2, 1]),
+                                     ("B", 2, [1, 3]), ("G", 2, [1, 1]),
+                                     ("A", 3, [1, 2, 1]), ("B", 3, [2, 1, 1])])
+def test_is_regular_matches_chamber_direction_reference(session, t, r, lam):
+    rs, g, calc, orbit = mk(session, t, r, lam)
+    rng = random.Random(7)
+    images = orbit.images
+
+    def combination(points, weights):
+        total = sum(weights)
+        mu = tuple(Q(0) for _ in range(r))
+        for p, w in zip(points, weights):
+            mu = vadd(mu, vscale(Q(w, total), p))
+        return mu
+
+    levels = [combination(images, [rng.randint(1, 6) ** 3 for _ in images])
+              for _ in range(8)]
+    levels += [vscale(Q(3, 2), rng.choice(images)) for _ in range(4)]
+    levels += [rng.choice(images) for _ in range(2)]
+    simple = [e.id for e in g.elements if len(e.word) == 1]
+    for _ in range(4):
+        v = rng.randrange(g.order)
+        levels.append(combination(
+            [images[v], images[g.multiply(v, rng.choice(simple))]], [1, 1]))
+    highest = max(rs.positive_roots, key=sum)
+    for alpha in [highest] * 2 + [rng.choice(rs.positive_roots)] * 2:
+        v = rng.randrange(g.order)
+        refl = g.reflection_element(alpha)
+        levels.append(combination([images[v], images[g.multiply(v, refl)]],
+                                  [1, 2]))
+    reference = _reference_is_regular(g, rs, orbit)
+    kinds = set()
+    for mu in levels:
+        got = K.is_regular(g, rs, orbit, mu)
+        assert got == reference(mu)
+        kinds.add(" ".join(got[1].split()[:4]))
+    # interior, outside, facet and (rank >= 2) critical-segment levels
+    assert len(kinds) == (3 if r == 1 else 4), kinds
 
 
 def test_kernel_generators_a1(session):

@@ -125,7 +125,11 @@ def test_apply_matrix_coefficient_types(session):
                                for c in image.terms.values())
     assert image.key() == tuple((e, int(c), 1)
                                 for e, c in image.sorted_terms())
-    half = P(2, {(2, 1): Q(1, 2), (0, 3): -1})
+    # sums, differences and products of int coefficients stay ints
+    other = P(2, {(3, 0): 1, (2, 1): 2}).apply_matrix(m)
+    for q in (image + other, image - other, image * other):
+        assert q.terms and all(type(c) is int for c in q.terms.values())
+    half =P(2, {(2, 1): Q(1, 2), (0, 3): -1})
     image = half.apply_matrix(m)
     assert all(isinstance(c, (int, Q)) for c in image.terms.values())
     assert any(isinstance(c, Q) and c.denominator == 2
