@@ -30,7 +30,8 @@ class DimensionMismatch(WeightvarError):
 
 
 class DegreeOverflow(ConfigError):
-    """Requested grading degree exceeds the top degree of the flag variety."""
+    """Requested grading degree is negative or exceeds the top degree of
+    the flag variety."""
 
 
 class MuNotRegularValue(WeightvarError):

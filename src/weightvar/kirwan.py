@@ -165,11 +165,15 @@ def _on_segment(mu: TVector, a: TVector, b: TVector) -> bool:
 
 def _height_tables(g: WeylGroup, rs: RootSystem, orbit: OrbitParameter,
                    mu: TVector):
-    """pre[j][u] = <lambda_j, u lambda>, lvl[j][t] = <lambda_j, t mu>."""
-    fw = rs.fundamental_weights
-    pre = tuple(tuple(rs.inner(w, img) for img in orbit.images) for w in fw)
-    lvl = tuple(tuple(rs.inner(w, g.act(t, mu)) for t in range(g.order))
-                for w in fw)
+    """pre[j][u] = <lambda_j, u lambda>, lvl[j][t] = <lambda_j, t mu>.
+
+    lambda_j is dual to the coroot of alpha_j, so in simple-root
+    coordinates <lambda_j, x> = x_j (alpha_j, alpha_j) / 2."""
+    half = [rs.gram[j][j] / 2 for j in range(rs.rank)]
+    moved = [g.act(t, mu) for t in range(g.order)]
+    pre = tuple(tuple(img[j] * c for img in orbit.images)
+                for j, c in enumerate(half))
+    lvl = tuple(tuple(x[j] * c for x in moved) for j, c in enumerate(half))
     return pre, lvl
 
 
@@ -281,15 +285,38 @@ def kernel_generators(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
 
 def _dedupe_by_class(calc: SchubertCalculus,
                      specs: list[KernelGeneratorSpec]) -> list[KernelGeneratorSpec]:
-    """Keep the first spec, in (tau, v) order, of each distinct restriction
-    vector. Each spec's class is twisted once; the calculator keeps it, so
-    generator_classes hands the kept ones back without twisting again."""
-    seen: set[tuple] = set()
+    """Keep the first spec, in (tau, v) order, of each distinct class,
+    twisting only the classes an exact equality check needs.
+
+    Equal classes have equal supports, so a spec is compared only with the
+    specs already kept in its support bucket; `twisted_support` needs no
+    polynomial work. The spec (tau, v) is the twist tau.s_w of the basis
+    class s_w, w = tau^-1 v. Twisting is a group action by ring
+    automorphisms, so two twists tau_k.s_w and tau.s_w of one basis class
+    are equal iff h = tau_k^-1 tau fixes s_w: one twist h.s_w per distinct
+    (w, h), which the calculator keeps. Twists of different basis classes
+    are compared as classes.
+    """
+    g = calc.group
+    buckets: dict[frozenset[int], list[tuple[int, int, int]]] = {}
     out = []
     for spec in sorted(specs, key=lambda s: (s.tau, s.v)):
-        key = calc.twisted_class(spec.tau, spec.v).key()
-        if key not in seen:
-            seen.add(key)
+        tau, v = spec.tau, spec.v
+        w = g.multiply(g.inverse(tau), v)
+        bucket = buckets.setdefault(calc.twisted_support(tau, v), [])
+        for tk, vk, wk in bucket:
+            if wk == w:
+                # h.s_w is the twisted class (h, h w), and h w = tk^-1 v
+                tki = g.inverse(tk)
+                h = g.multiply(tki, tau)
+                same = (calc.twisted_class(h, g.multiply(tki, v))
+                        == calc.schubert_class(w))
+            else:
+                same = calc.twisted_class(tk, vk) == calc.twisted_class(tau, v)
+            if same:
+                break
+        else:
+            bucket.append((tau, v, w))
             out.append(spec)
     return out
 
@@ -513,12 +540,14 @@ def quotient_betti(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
 
     The output runs to the half real dimension D = len(w0) - l; two guard
     degrees past D are always computed and must vanish (internal check).
-    An explicit dmax may not exceed len(w0).
+    An explicit dmax may be neither negative nor above len(w0).
     """
     top = g.elements[g.w0].length
     dim_half = top - rs.rank
     if dmax is not None and dmax > top:
         raise DegreeOverflow(f"dmax {dmax} exceeds the top half-degree {top}")
+    if dmax is not None and dmax < 0:
+        raise DegreeOverflow(f"dmax {dmax} is negative")
     out_to = dim_half if dmax is None else dmax
     compute_to = max(out_to, dim_half + 2)
     specs = kernel_generators(g, rs, calc, orbit, mu)

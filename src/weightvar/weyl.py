@@ -236,15 +236,16 @@ class WeylGroup:
                      for row in mat)
 
     def reflection_element(self, alpha: TVector) -> int:
-        """Group element of the reflection in a root alpha."""
-        rs = self.rs
-        n2 = rs.norm2(alpha)
-        perm = []
-        for r in self.roots:
-            c = 2 * rs.inner(r, alpha) / n2
-            perm.append(self._root_index[tuple(
-                rj - c * aj for rj, aj in zip(r, alpha))])
-        return self._perm_to_id[tuple(perm)]
+        """Group element of the reflection in a root alpha: v s_i v^-1 for
+        the first v (in element order) and i with v(alpha_i) = alpha. Every
+        root is such a translate of a simple root."""
+        k = self._root_index[tuple(alpha)]
+        simple = [self._root_index[self.rs.simple_root(i)]
+                  for i in range(self.rs.rank)]
+        for v, perm in enumerate(self._perms):
+            for i, si in enumerate(simple):
+                if perm[si] == k:
+                    return self._mult[self._right[v][i]][self._inverse[v]]
 
     def inversions(self, w: int) -> list[TVector]:
         """Positive roots sent negative by w^{-1}: {a > 0 : w^{-1} a < 0}."""

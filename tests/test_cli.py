@@ -105,6 +105,8 @@ def test_exit_code_bad_config(capsys, tmp_path):
         ["roots", "--type", "A", "--rank", "9"],
         ["betti", "--type", "A", "--rank", "1", "--lambda", "1", "--mu", "0",
          "--dmax", "5"],
+        ["betti", "--type", "A", "--rank", "1", "--lambda", "1", "--mu", "0",
+         "--dmax", "-1"],
         ["betti", "--type", "A", "--rank", "1", "--lambda", "1,1", "--mu", "0"],
         ["roots", "--type", "A"],
         ["roots", "--type", "A", "--rank", "2", "--threads", "0"],

@@ -96,6 +96,15 @@ GOLDEN = [
      "--mu=1551/1559,405/1559,-1728/1559",
      "08d92c1dd27eb882ea2a2e0937634dacdf362b65e603059787168aab990a5a31",
      EMPTY, 0),
+    # groups with larger stabilizers of their basis classes
+    ("kernel-B3",
+     "kernel --type B --rank 3 --lambda 1,2,1 --mu=1/7,-1/5,1/11",
+     "0d64cee6d9d5d678b2d3d04cad09daa64f378e57bb120e747c368946a951b84b",
+     EMPTY, 0),
+    ("kernel-C3",
+     "kernel --type C --rank 3 --lambda 2,1,1 --mu=-1/9,1/13,1/5",
+     "a90587c040228c4585c6d991e533e152c75c269565cc01f58168f8ddda2459f6",
+     EMPTY, 0),
     ("check-A2-level",
      "check --type A --rank 2 --lambda 2,1 --mu=85/202,-49/202",
      "335c0a3a59623ab9d2329422dea197c1631c36d7ba8c4f0ac83478fea5280bd5",

@@ -7,6 +7,7 @@ from weightvar import kirwan as K
 from weightvar.errors import (ConfigError, DegreeOverflow, MuNotRegularValue)
 from weightvar.poly import Polynomial
 from weightvar.rootsys import vadd, vscale, vsub
+from weightvar.schubert import SchubertCalculus
 from weightvar.weyl import generate_weyl
 
 
@@ -170,6 +171,118 @@ def test_is_regular_matches_chamber_direction_reference(session, t, r, lam):
         kinds.add(" ".join(got[1].split()[:4]))
     # interior, outside, facet and (rank >= 2) critical-segment levels
     assert len(kinds) == (3 if r == 1 else 4), kinds
+
+
+def _seeded_levels(rs, g, calc, orbit, rng, count):
+    """`count` levels drawn as random convex combinations of the fixed-point
+    images, keeping those the kernel enumeration accepts (no wall tie)."""
+    levels = []
+    while len(levels) < count:
+        weights = [rng.randint(1, 6) ** 3 for _ in orbit.images]
+        mu = tuple(Q(0) for _ in range(rs.rank))
+        for p, w in zip(orbit.images, weights):
+            mu = vadd(mu, vscale(Q(w, sum(weights)), p))
+        try:
+            K.kernel_generators(g, rs, calc, orbit, mu)
+        except MuNotRegularValue:
+            continue
+        levels.append(mu)
+    return levels
+
+
+def _reference_height_tables(g, rs, orbit, mu):
+    """The height tables through the full Gram form."""
+    fw = rs.fundamental_weights
+    pre = tuple(tuple(rs.inner(w, img) for img in orbit.images) for w in fw)
+    lvl = tuple(tuple(rs.inner(w, g.act(t, mu)) for t in range(g.order))
+                for w in fw)
+    return pre, lvl
+
+
+ORBITS = [("A", 1, [2]), ("A", 2, [2, 1]), ("B", 2, [1, 3]),
+                ("G", 2, [1, 1]), ("A", 3, [1, 2, 1]), ("B", 3, [1, 2, 1]),
+                ("C", 3, [2, 1, 1])]
+
+
+@pytest.mark.parametrize("t,r,lam", ORBITS)
+def test_height_tables_match_gram_form_reference(session, t, r, lam):
+    rs, g, calc, orbit = mk(session, t, r, lam)
+    rng = random.Random(13)
+    levels = [tuple(Q(rng.randint(-30, 30), rng.randint(1, 30))
+                    for _ in range(r)) for _ in range(3)]
+    for mu in levels:
+        assert K._height_tables(g, rs, orbit, mu) == \
+            _reference_height_tables(g, rs, orbit, mu)
+    rs3 = rs.rescaled(3)
+    assert K._height_tables(g, rs3, orbit, levels[0]) == \
+        _reference_height_tables(g, rs3, orbit, levels[0])
+    level = _seeded_levels(rs, g, calc, orbit, rng, 1)[0]
+    cert = K.regular_level(g, rs, orbit, level)
+    assert (cert.pre, cert.lvl) == _reference_height_tables(g, rs, orbit, level)
+
+
+_DEDUPE = K._dedupe_by_class
+
+
+def _reference_dedupe(calc, specs):
+    """Twist every spec and keep the first, in (tau, v) order, of each
+    distinct class key."""
+    seen, out = set(), []
+    for spec in sorted(specs, key=lambda s: (s.tau, s.v)):
+        key = calc.twisted_class(spec.tau, spec.v).key()
+        if key not in seen:
+            seen.add(key)
+            out.append(spec)
+    return out
+
+
+def _record_dedupe(monkeypatch):
+    """Make both generator routes record (specs in, specs out) of their
+    de-duplication."""
+    calls = []
+
+    def record(calc, specs):
+        out = _DEDUPE(calc, specs)
+        calls.append((specs, out))
+        return out
+
+    monkeypatch.setattr(K, "_dedupe_by_class", record)
+    return calls
+
+
+# (type, rank, lambda, seeded levels); the oracle route costs ~9 s per level
+# on B3 and C3
+@pytest.mark.parametrize("t,r,lam,count",
+                         [o + (3,) for o in ORBITS[:4]]
+                         + [ORBITS[4] + (2,)]
+                         + [o + (1,) for o in ORBITS[5:]])
+def test_dedupe_matches_twist_every_class_reference(session, monkeypatch,
+                                                    t, r, lam, count):
+    rs, g, calc, orbit = mk(session, t, r, lam)
+    levels = _seeded_levels(rs, g, calc, orbit, random.Random(11), count)
+    calls = _record_dedupe(monkeypatch)
+    for mu in levels:
+        K.kernel_generators(g, rs, calc, orbit, mu)
+        K.tw_oracle_generators(g, rs, calc, orbit, mu)
+    assert len(calls) == 2 * count
+    for specs, out in calls:
+        assert out == _reference_dedupe(calc, specs)
+        assert r == 1 or len(out) < len(specs)
+
+
+@pytest.mark.parametrize("t,r,lam", ORBITS[1:5])
+def test_dedupe_exact_checks_alone_match_reference(session, monkeypatch,
+                                                   t, r, lam):
+    # with every spec in one support bucket, the stabilizer test and the
+    # class comparison decide every pair on their own
+    rs, g, calc, orbit = mk(session, t, r, lam)
+    levels = _seeded_levels(rs, g, calc, orbit, random.Random(17), 1)
+    calls = _record_dedupe(monkeypatch)
+    K.kernel_generators(g, rs, calc, orbit, levels[0])
+    specs, out = calls[0]
+    one_bucket = SchubertCalculus(g)
+    monkeypatch.setattr(one_bucket, "twisted_support", lambda tau, v: 0)
+    assert _DEDUPE(one_bucket, specs) == out == _reference_dedupe(calc, specs)
 
 
 def test_kernel_generators_a1(session):

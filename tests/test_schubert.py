@@ -171,6 +171,25 @@ def test_weyl_twist(session):
             assert c.support() == expect
 
 
+@pytest.mark.parametrize("type_label,rank", [("A", 2), ("B", 2), ("G", 2),
+                                             ("A", 3)])
+def test_weyl_twist_is_an_action_by_ring_automorphisms(session, type_label,
+                                                       rank):
+    # the premise of the kernel de-duplication: a.(b.c) = (ab).c and
+    # a.(c d) = (a.c)(a.d), so a.c = b.c iff b^-1 a fixes c
+    ctx = session(type_label, rank)
+    calc, g = ctx.calc, ctx.group
+    rng = random.Random(5)
+    for _ in range(12):
+        a, b = rng.randrange(g.order), rng.randrange(g.order)
+        c = calc.schubert_class(rng.randrange(g.order))
+        d = calc.schubert_class(rng.randrange(g.order))
+        assert calc.weyl_twist(calc.weyl_twist(c, b), a) == \
+            calc.weyl_twist(c, g.multiply(a, b))
+        assert calc.weyl_twist(c * d, a) == \
+            calc.weyl_twist(c, a) * calc.weyl_twist(d, a)
+
+
 def test_integrate(session):
     ctx = session("A", 2)
     calc, g = ctx.calc, ctx.group

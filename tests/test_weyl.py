@@ -184,10 +184,20 @@ def test_inversions(session):
 
 
 def test_reflection_element(session):
-    ctx = session("B", 2)
-    rs, g = ctx.rs, ctx.group
-    for alpha in rs.positive_roots:
-        t = g.reflection_element(alpha)
-        assert g.elements[t].length % 2 == 1
-        assert g.multiply(t, t) == 0
-        assert g.act(t, alpha) == tuple(-c for c in alpha)
+    # odd length, involution and alpha -> -alpha do not single out s_alpha
+    # (in B3, w0 has all three), so check the defining formula
+    # s_alpha(x) = x - <x, alpha^v> alpha on every simple root as well
+    for t, r in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                 ("B", 4), ("C", 3), ("D", 4), ("G", 2)]:
+        ctx = session(t, r)
+        rs, g = ctx.rs, ctx.group
+        for alpha in rs.positive_roots:
+            s = g.reflection_element(alpha)
+            assert g.elements[s].length % 2 == 1
+            assert g.multiply(s, s) == 0
+            assert g.act(s, alpha) == tuple(-c for c in alpha)
+            for i in range(r):
+                x = rs.simple_root(i)
+                c = 2 * rs.inner(x, alpha) / rs.norm2(alpha)
+                assert g.act(s, x) == tuple(a - c * b for a, b in zip(x, alpha))
+            assert g.reflection_element(tuple(-c for c in alpha)) == s
