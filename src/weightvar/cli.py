@@ -109,9 +109,11 @@ def parse_config(argv: list[str]) -> JobConfig:
         raise ConfigError("--threads must be at least 1")
     cfg.cache_dir = ns.cache_dir if ns.cache_dir is not None else default_cache_dir()
     lam = getattr(ns, "lam", None)
+    mu = getattr(ns, "mu", None)
+    if (lam is None) != (mu is None):
+        raise ConfigError("check needs both --lambda and --mu, or neither")
     if lam is not None:
         cfg.lambda_coeffs = parse_rational_list(lam, expect=cfg.rank)
-    mu = getattr(ns, "mu", None)
     if mu is not None:
         cfg.mu_coords = parse_rational_list(mu, expect=cfg.rank)
     cfg.dmax = getattr(ns, "dmax", None)
@@ -151,11 +153,6 @@ def _ensure_table_cached(cfg: JobConfig, g: WeylGroup,
 
 def _word_json(g: WeylGroup, w: int) -> dict:
     return {"id": w, "word": [i + 1 for i in g.elements[w].word]}
-
-
-def _word_str(g: WeylGroup, w: int) -> str:
-    word = g.elements[w].word
-    return "e" if not word else " ".join(str(i + 1) for i in word)
 
 
 # -- commands --------------------------------------------------------------
@@ -376,7 +373,7 @@ def run_checks(cfg: JobConfig) -> dict:
             ok = False
     record("decompose_roundtrip", ok)
 
-    if cfg.lambda_coeffs and cfg.mu_coords:
+    if cfg.lambda_coeffs:
         orbit, mu = _orbit_level(cfg, rs, g)
         ok = True
         for tau in range(g.order):

@@ -28,7 +28,7 @@ from math import gcd
 
 from .errors import (ConfigError, DegreeOverflow,
                      InternalConsistencyError, MuNotRegularValue)
-from .poly import IncrementalRank, ModularRank, monomial_basis
+from .poly import IncrementalRank, monomial_basis
 from .rootsys import RootSystem, TVector, vadd, vscale, vsub, vzero
 from .schubert import EquivariantClass, SchubertCalculus
 from .weyl import WeylGroup
@@ -434,94 +434,50 @@ def ideal_graded_dims(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
                       generators: list[EquivariantClass], dmax: int) -> list[int]:
     """Dimension of the ideal's slice in each half-degree 0..dmax.
 
-    Rows are restriction coordinates of generator * basis-element products,
-    flattened over (fixed point, degree-d monomial). Each slice is first
-    streamed through a mod-p eliminator, starting from the previous slice's
-    mod-p pivot rows shifted by each variable (the ideal is closed under
-    multiplication by the coordinate forms): reaching the full slice
-    dimension there certifies the exact answer (mod-p independence of
-    integer rows implies independence over Q). Slices that fall short are
-    recomputed by exact fraction-free elimination of the degree-d generator
-    rows alone, which span the whole slice.
+    The ideal K is the H_T(pt)-span of the products gen * s_w, so its slice
+    K_d is x_1 K_{d-1} + ... + x_l K_{d-1} plus the span of the products of
+    degree exactly d. Rows are restriction coordinates, flattened over
+    (fixed point, degree-d monomial). Each slice is one exact elimination:
+    the previous slice's pivot rows, an exact basis of K_{d-1}, shifted by
+    each variable, then the degree-d products, until the rank fills the
+    slice. Its pivot rows are the basis carried up to the next slice.
     """
     l = rs.rank
     top = g.elements[g.w0].length
     codims = [top - e.length for e in g.elements]
     dims = []
-    product_cache: dict[tuple[int, int], EquivariantClass] = {}
-
-    def product(gi: int, w: int) -> EquivariantClass:
-        key = (gi, w)
-        prod = product_cache.get(key)
-        if prod is None:
-            prod = generators[gi] * calc.schubert_class(w)
-            product_cache[key] = prod
-        return prod
-
-    prev_monos: list[tuple[int, ...]] = []
-    prev_modular: list[dict[int, int]] = []
-    for d in range(dmax + 1):
+    prev_rows: list[dict[int, int]] = []
+    nm_prev = 0
+    for d, h_dim in enumerate(h_slice_dims(g, rs, dmax)):
         monos = monomial_basis(l, d)
         mono_rank = {m: i for i, m in enumerate(monos)}
         nm = len(monos)
-        h_dim = sum(len(monomial_basis(l, d - codims[w])) for w in range(g.order)
-                    if codims[w] <= d)
-
-        def carried():
-            # pivot rows of the previous slice, with every exponent vector
-            # shifted by one variable, land in this slice
-            nm_prev = len(prev_monos)
-            for prow in prev_modular:
-                for i in range(l):
-                    row: dict[int, int] = {}
-                    for col, val in prow.items():
-                        u, k = divmod(col, nm_prev)
-                        exp = list(prev_monos[k])
-                        exp[i] += 1
-                        row[u * nm + mono_rank[tuple(exp)]] = val
-                    yield row
-
-        # low monomial multiplicity first: maximizes generator variety
-        # early, which is where the new independent directions come from
-        blocks = sorted(
-            (d - generators[gi].half_degree - codims[w], gi, w)
-            for gi in range(len(generators))
-            if generators[gi].half_degree <= d
-            for w in range(g.order)
-            if d - generators[gi].half_degree - codims[w] >= 0)
+        # shifts[k][i]: the index of x_k times monomial i of degree d - 1
+        shifts = [[mono_rank[m[:k] + (m[k] + 1,) + m[k + 1:]]
+                   for m in monomial_basis(l, d - 1)] for k in range(l)]
 
         def rows():
-            for rem, gi, w in blocks:
-                prod = product(gi, w)
-                if prod.is_zero():
-                    continue
-                for m in monomial_basis(l, rem):
-                    row: dict[int, Q] = {}
-                    for u, p in prod.restrictions.items():
-                        base = u * nm
-                        for e, cf in p.terms.items():
-                            shifted = tuple(a + b for a, b in zip(e, m))
-                            row[base + mono_rank[shifted]] = cf
+            for prow in prev_rows:
+                for shift in shifts:
+                    row = {}
+                    for col, val in prow.items():
+                        u, i = divmod(col, nm_prev)
+                        row[u * nm + shift[i]] = val
                     yield row
-
-        modular = ModularRank()
-        for row in carried():
-            if modular.add_modular_row(row) and modular.rank == h_dim:
-                break
-        if modular.rank != h_dim:
-            for row in rows():
-                if modular.add_row(row) and modular.rank == h_dim:
-                    break
-        prev_monos, prev_modular = monos, modular.pivot_rows()
-        if modular.rank == h_dim:
-            dims.append(h_dim)
-            continue
+            for gen in generators:
+                for w in range(g.order):
+                    if gen.half_degree + codims[w] == d:
+                        prod = gen * calc.schubert_class(w)
+                        yield {u * nm + mono_rank[e]: c
+                               for u, p in prod.restrictions.items()
+                               for e, c in p.terms.items()}
 
         acc = IncrementalRank()
         for row in rows():
             if acc.add_row(row) and acc.rank == h_dim:
                 break
         dims.append(acc.rank)
+        prev_rows, nm_prev = acc.pivot_rows(), nm
     return dims
 
 

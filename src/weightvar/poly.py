@@ -10,9 +10,11 @@ coefficients stay ints. All grading downstream is in half-degrees (a
 cohomological degree-2d class carries polynomials of total degree d); odd
 cohomology never exists here so it is never represented.
 
-Rank is computed fraction-free: rows are scaled to integers and reduced by
-cross-multiplication with gcd-normalized multipliers, so no rational
-division ever happens during elimination.
+Rank is computed fraction-free by `IncrementalRank`, the one eliminator:
+rows are scaled to integers and reduced by cross-multiplication with
+gcd-normalized multipliers, so no rational division ever happens during
+elimination. Its pivot rows are an exact basis of the span, which the
+graded dimension count carries up one degree.
 """
 
 from __future__ import annotations
@@ -333,6 +335,11 @@ class IncrementalRank:
     def rank(self) -> int:
         return len(self._pivots)
 
+    def pivot_rows(self) -> list[dict[int, int]]:
+        """The stored echelon rows, primitive integer rows spanning every
+        row added so far; callers read them and must not mutate them."""
+        return list(self._pivots.values())
+
     def add_row(self, values: dict[int, int | Q]) -> bool:
         row = _int_row(values)
         if not row:
@@ -366,13 +373,12 @@ class IncrementalRank:
 
 
 class ModularRank:
-    """Echelon accumulator over F_p used as a one-sided certificate.
+    """Echelon accumulator over F_p; the rank of integer rows mod p is a
+    lower bound on their rank over Q.
 
-    Reductions mod p can only lose rank, and integer rows that stay
-    independent mod p are independent over Q; so reaching a known upper
-    bound certifies the exact rank with machine-word arithmetic. Anything
-    short of the bound proves nothing and callers must fall back to the
-    exact eliminator.
+    No computation uses it: `IncrementalRank` is the only eliminator. The
+    benchmark tracer still wraps `ModularRank.add_row` by name, so the class
+    stays until the benchmark drops its metrics.
     """
 
     PRIME = (1 << 31) - 1
@@ -384,14 +390,6 @@ class ModularRank:
     @property
     def rank(self) -> int:
         return len(self._pivots)
-
-    def pivot_rows(self) -> list[dict[int, int]]:
-        """The stored echelon rows over F_p."""
-        return [dict(r) for r in self._pivots.values()]
-
-    def add_modular_row(self, row: dict[int, int]) -> bool:
-        """Insert a row whose values are already reduced mod p."""
-        return self._reduce({c: v for c, v in row.items() if v % self.p})
 
     def add_row(self, values: dict[int, int | Q]) -> bool:
         p = self.p
@@ -440,14 +438,6 @@ class RationalMatrix:
         if out and any(len(r) != len(out[0]) for r in out):
             raise DimensionMismatch("ragged matrix rows")
         return cls(out)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
 
 
 def rank_over_Q(m: RationalMatrix) -> int:

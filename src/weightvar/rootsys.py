@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterator
 
 from .errors import DimensionMismatch, InvalidRank, RankLimitExceeded
 
@@ -175,15 +174,6 @@ class RootSystem:
     def simple_root(self, i: int) -> TVector:
         return tuple(Q(1) if j == i else Q(0) for j in range(self.rank))
 
-    def simple_reflection_matrix(self, i: int) -> tuple[tuple[Q, ...], ...]:
-        """Matrix of s_i on t* in simple-root coordinates (acts on columns:
-        column j is the image of a_j)."""
-        l = self.rank
-        return tuple(
-            tuple(Q((1 if r == c else 0) - (self.cartan[i][c] if r == i else 0))
-                  for c in range(l))
-            for r in range(l))
-
     def reflect(self, i: int, x: TVector) -> TVector:
         """Simple reflection s_i(x) = x - <x, a_i^v> a_i."""
         self._check_dim(x)
@@ -327,11 +317,3 @@ def _det(m: list[list[Q]]) -> Q:
                 f = m[r][col] * inv
                 m[r] = [a - f * b for a, b in zip(m[r], m[col])]
     return det
-
-
-def roots_iter(rs: RootSystem) -> Iterator[TVector]:
-    """All roots, negatives included, in a deterministic order."""
-    for r in rs.positive_roots:
-        yield r
-    for r in rs.positive_roots:
-        yield vscale(Q(-1), r)

@@ -110,6 +110,9 @@ def test_exit_code_bad_config(capsys, tmp_path):
         ["betti", "--type", "A", "--rank", "1", "--lambda", "1,1", "--mu", "0"],
         ["roots", "--type", "A"],
         ["roots", "--type", "A", "--rank", "2", "--threads", "0"],
+        # check takes both of --lambda and --mu, or neither
+        ["check", "--type", "A", "--rank", "2", "--lambda", "1,1"],
+        ["check", "--type", "A", "--rank", "2", "--mu", "0,0"],
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, argv + ["--cache-dir", str(tmp_path)])

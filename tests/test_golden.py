@@ -105,6 +105,11 @@ GOLDEN = [
      "kernel --type C --rank 3 --lambda 2,1,1 --mu=-1/9,1/13,1/5",
      "a90587c040228c4585c6d991e533e152c75c269565cc01f58168f8ddda2459f6",
      EMPTY, 0),
+    ("oracle-compare-A3",
+     "oracle-compare --type A --rank 3 --lambda 2,1,3 "
+     "--mu=1551/1559,405/1559,-1728/1559",
+     "66e65031c7ac0f67689fe285394b4fc8dadad4c5db22f2ba3c23bea7daac2b55",
+     EMPTY, 0),
     ("check-A2-level",
      "check --type A --rank 2 --lambda 2,1 --mu=85/202,-49/202",
      "335c0a3a59623ab9d2329422dea197c1631c36d7ba8c4f0ac83478fea5280bd5",

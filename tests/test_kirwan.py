@@ -5,7 +5,8 @@ import pytest
 
 from weightvar import kirwan as K
 from weightvar.errors import (ConfigError, DegreeOverflow, MuNotRegularValue)
-from weightvar.poly import Polynomial
+from weightvar.poly import (IncrementalRank, ModularRank, Polynomial,
+                            monomial_basis)
 from weightvar.rootsys import vadd, vscale, vsub
 from weightvar.schubert import SchubertCalculus
 from weightvar.weyl import generate_weyl
@@ -383,6 +384,122 @@ def test_ideal_graded_dims_examples(session):
     unit = [calc.unit_class()]
     assert K.ideal_graded_dims(g, rs, calc, unit, 2) == \
         K.h_slice_dims(g, rs, 2)
+
+
+class _CarryingModularRank(ModularRank):
+    """`ModularRank` with the two methods the two-pass count used to carry
+    its F_p pivot rows from one slice to the next."""
+
+    def pivot_rows(self):
+        return [dict(r) for r in self._pivots.values()]
+
+    def add_modular_row(self, row):
+        return self._reduce({c: v for c, v in row.items() if v % self.p})
+
+
+def _reference_ideal_graded_dims(g, rs, calc, generators, dmax):
+    """The two-pass count: per slice, a mod-p pass over the shifted F_p
+    pivot rows of the previous slice and then every generator x basis
+    class x monomial row, which certifies the slice only when it is full;
+    otherwise an exact elimination of the same generator rows."""
+    l = rs.rank
+    top = g.elements[g.w0].length
+    codims = [top - e.length for e in g.elements]
+    dims = []
+    product_cache = {}
+
+    def product(gi, w):
+        key = (gi, w)
+        prod = product_cache.get(key)
+        if prod is None:
+            prod = generators[gi] * calc.schubert_class(w)
+            product_cache[key] = prod
+        return prod
+
+    prev_monos, prev_modular = [], []
+    for d in range(dmax + 1):
+        monos = monomial_basis(l, d)
+        mono_rank = {m: i for i, m in enumerate(monos)}
+        nm = len(monos)
+        h_dim = sum(len(monomial_basis(l, d - codims[w]))
+                    for w in range(g.order) if codims[w] <= d)
+
+        def carried():
+            nm_prev = len(prev_monos)
+            for prow in prev_modular:
+                for i in range(l):
+                    row = {}
+                    for col, val in prow.items():
+                        u, k = divmod(col, nm_prev)
+                        exp = list(prev_monos[k])
+                        exp[i] += 1
+                        row[u * nm + mono_rank[tuple(exp)]] = val
+                    yield row
+
+        blocks = sorted(
+            (d - generators[gi].half_degree - codims[w], gi, w)
+            for gi in range(len(generators))
+            if generators[gi].half_degree <= d
+            for w in range(g.order)
+            if d - generators[gi].half_degree - codims[w] >= 0)
+
+        def rows():
+            for rem, gi, w in blocks:
+                prod = product(gi, w)
+                if prod.is_zero():
+                    continue
+                for m in monomial_basis(l, rem):
+                    row = {}
+                    for u, p in prod.restrictions.items():
+                        base = u * nm
+                        for e, cf in p.terms.items():
+                            shifted = tuple(a + b for a, b in zip(e, m))
+                            row[base + mono_rank[shifted]] = cf
+                    yield row
+
+        modular = _CarryingModularRank()
+        for row in carried():
+            if modular.add_modular_row(row) and modular.rank == h_dim:
+                break
+        if modular.rank != h_dim:
+            for row in rows():
+                if modular.add_row(row) and modular.rank == h_dim:
+                    break
+        prev_monos, prev_modular = monos, modular.pivot_rows()
+        if modular.rank == h_dim:
+            dims.append(h_dim)
+            continue
+        acc = IncrementalRank()
+        for row in rows():
+            if acc.add_row(row) and acc.rank == h_dim:
+                break
+        dims.append(acc.rank)
+    return dims
+
+
+@pytest.mark.parametrize("t,r,lam", ORBITS[:5])
+def test_ideal_graded_dims_match_two_pass_reference(session, t, r, lam):
+    # both routes' generator lists at seeded levels, the empty list and the
+    # unit class, every half-degree up to len(w0)
+    rs, g, calc, orbit = mk(session, t, r, lam)
+    top = g.elements[g.w0].length
+    lists = [[], [calc.unit_class()]]
+    for mu in _seeded_levels(rs, g, calc, orbit, random.Random(19),
+                             1 if r >= 3 else 2):
+        for route in (K.kernel_generators, K.tw_oracle_generators):
+            specs = route(g, rs, calc, orbit, mu)
+            lists.append(K.generator_classes(calc, specs))
+    got = [K.ideal_graded_dims(g, rs, calc, gens, top) for gens in lists]
+    assert got == [_reference_ideal_graded_dims(g, rs, calc, gens, top)
+                   for gens in lists]
+    full = K.h_slice_dims(g, rs, top)
+    assert got[0] == [0] * (top + 1) and got[1] == full
+    # at a level the quotient lives exactly in the degrees up to
+    # D = top - rank
+    dim_half = top - r
+    for dims in got[2:]:
+        assert all(k < f for k, f in zip(dims[:dim_half + 1], full))
+        assert dims[dim_half + 1:] == full[dim_half + 1:]
 
 
 def test_quotient_betti_a1(session):

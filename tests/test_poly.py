@@ -248,6 +248,22 @@ def test_incremental_rank_growth():
         assert acc.rank == 2
 
 
+def test_incremental_rank_pivot_rows_span_the_rows():
+    rng = random.Random(5)
+    rows = [{c: Q(rng.randint(-4, 4), rng.randint(1, 3)) for c in range(6)
+             if rng.random() < 0.6} for _ in range(12)]
+    acc = IncrementalRank()
+    for row in rows:
+        acc.add_row(row)
+    pivots = acc.pivot_rows()
+    assert len(pivots) == acc.rank
+    assert all(isinstance(v, int) for row in pivots for v in row.values())
+    # the pivot rows add nothing to the span and span it on their own
+    again = IncrementalRank()
+    assert all(again.add_row(row) for row in pivots)
+    assert not any(again.add_row(row) for row in rows)
+
+
 def test_json_roundtrip():
     p = P(2, {(2, 0): Q(3, 7), (0, 1): -2})
     data = p.to_json()
