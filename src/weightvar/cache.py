@@ -1,10 +1,11 @@
-"""Versioned on-disk cache of the restriction tables.
+"""Versioned on-disk cache of the restriction tables, used by `restrict`.
 
 The subword-sum matrix depends only on (type, rank), never on the orbit,
 so it is cached per root system as `billey-<type><rank>-v1.json`. The file
-carries the canonical element order and a content checksum; any mismatch
-on load (version, element words, checksum) falls back to recomputation.
-Writes go through a temp file and an atomic rename.
+carries the canonical element order and a content checksum; any payload
+`load_table` cannot use (header, element words, checksum, malformed body)
+raises `CacheCorrupt`, and the caller rebuilds. Writes go through a temp
+file and an atomic rename. Level queries build their columns in process.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .errors import CacheCorrupt
+from .errors import CacheCorrupt, DimensionMismatch
 from .poly import Polynomial
 from .weyl import WeylGroup
 
@@ -39,9 +40,9 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
-def table_payload(g: WeylGroup,
-                  columns: dict[int, dict[int, Polynomial]]) -> dict:
-    return {
+def store_table(path: Path, g: WeylGroup,
+                columns: dict[int, dict[int, Polynomial]]) -> None:
+    payload = {
         "format": "billey",
         "version": CACHE_VERSION,
         "type": g.rs.type_label,
@@ -52,11 +53,6 @@ def table_payload(g: WeylGroup,
             for v, col in sorted(columns.items())
         },
     }
-
-
-def store_table(path: Path, g: WeylGroup,
-                columns: dict[int, dict[int, Polynomial]]) -> None:
-    payload = table_payload(g, columns)
     payload["checksum"] = _checksum({k: v for k, v in payload.items()
                                      if k != "checksum"})
     path = Path(path)
@@ -81,7 +77,8 @@ def load_table(path: Path, g: WeylGroup) -> dict[int, dict[int, Polynomial]]:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CacheCorrupt(f"unreadable cache file {path}: {exc}") from exc
-    if payload.get("format") != "billey" or payload.get("version") != CACHE_VERSION:
+    if (not isinstance(payload, dict) or payload.get("format") != "billey"
+            or payload.get("version") != CACHE_VERSION):
         raise CacheCorrupt(f"wrong cache header in {path}")
     if payload.get("type") != g.rs.type_label or payload.get("rank") != g.rs.rank:
         raise CacheCorrupt(f"cache {path} is for another root system")
@@ -89,14 +86,18 @@ def load_table(path: Path, g: WeylGroup) -> dict[int, dict[int, Polynomial]]:
     body = {k: v for k, v in payload.items() if k != "checksum"}
     if stated != _checksum(body):
         raise CacheCorrupt(f"checksum mismatch in {path}")
-    words = [tuple(w) for w in payload["elements"]]
+    try:
+        words = [tuple(w) for w in payload["elements"]]
+        columns = {int(v): {int(w): Polynomial.from_json(g.rs.rank, data)
+                            for w, data in col.items()}
+                   for v, col in payload["columns"].items()}
+    except (KeyError, TypeError, AttributeError, ValueError,
+            ZeroDivisionError, DimensionMismatch) as exc:
+        raise CacheCorrupt(f"malformed cache body in {path}: {exc!r}") from exc
     if words != [e.word for e in g.elements]:
         raise CacheCorrupt(f"element order in {path} does not match")
-    nvars = g.rs.rank
-    columns: dict[int, dict[int, Polynomial]] = {}
-    for v_str, col in payload["columns"].items():
-        columns[int(v_str)] = {int(w): Polynomial.from_json(nvars, data)
-                               for w, data in col.items()}
     if sorted(columns) != list(range(g.order)):
         raise CacheCorrupt(f"cache {path} is missing columns")
+    if any(not 0 <= w < g.order for col in columns.values() for w in col):
+        raise CacheCorrupt(f"cache {path} names an unknown element")
     return columns

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -47,7 +47,7 @@ class JobConfig:
     mu_coords: tuple[Q, ...] = ()
     dmax: int | None = None
     format: str = "json"
-    cache_dir: Path = field(default_factory=default_cache_dir)
+    cache_dir: Path | None = None  # read by restrict only
     seed: int = 0
     max_rank: int = DEFAULT_MAX_RANK
 
@@ -107,7 +107,7 @@ def parse_config(argv: list[str]) -> JobConfig:
     cfg.format = ns.format
     if ns.threads < 1:
         raise ConfigError("--threads must be at least 1")
-    cfg.cache_dir = ns.cache_dir if ns.cache_dir is not None else default_cache_dir()
+    cfg.cache_dir = ns.cache_dir
     lam = getattr(ns, "lam", None)
     mu = getattr(ns, "mu", None)
     if (lam is None) != (mu is None):
@@ -116,6 +116,10 @@ def parse_config(argv: list[str]) -> JobConfig:
         cfg.lambda_coeffs = parse_rational_list(lam, expect=cfg.rank)
     if mu is not None:
         cfg.mu_coords = parse_rational_list(mu, expect=cfg.rank)
+    if cfg.format != "json" and cfg.command not in ("betti", "kernel",
+                                                    "restrict"):
+        raise ConfigError(
+            f"format {cfg.format} is not available for {cfg.command!r}")
     cfg.dmax = getattr(ns, "dmax", None)
     cfg.seed = getattr(ns, "seed", 0)
     return cfg
@@ -124,31 +128,31 @@ def parse_config(argv: list[str]) -> JobConfig:
 # -- session assembly ----------------------------------------------------------
 
 
-def _session(cfg: JobConfig, need_table: bool):
+def _session(cfg: JobConfig):
+    """Root system, Weyl group and a calculator that builds each table
+    column by need: faster than loading the cached table at every rank, so
+    only `restrict` goes on to the cache."""
     rs = build_root_system(cfg.type_label, cfg.rank, max_rank=cfg.max_rank)
     g = generate_weyl(rs)
-    calc = SchubertCalculus(g)
-    if need_table:
-        _ensure_table_cached(cfg, g, calc)
-    return rs, g, calc
+    return rs, g, SchubertCalculus(g)
 
 
-def _ensure_table_cached(cfg: JobConfig, g: WeylGroup,
-                         calc: SchubertCalculus) -> None:
-    path = cache_path(cfg.cache_dir, cfg.type_label, cfg.rank)
-    columns = None
+def _ensure_table_cached(cfg: JobConfig, g: WeylGroup, calc: SchubertCalculus
+                         ) -> dict[int, dict[int, Polynomial]]:
+    """The cached table, or a new one built and stored; a corrupt file is
+    reported on stderr and rebuilt."""
+    path = cache_path(cfg.cache_dir or default_cache_dir(), cfg.type_label,
+                      cfg.rank)
     if path.exists():
         try:
-            columns = load_table(path, g)
+            return load_table(path, g)
         except CacheCorrupt as exc:
             print(canonical_json({"warning": "cache-corrupt",
                                   "message": str(exc)}),
                   end="", file=sys.stderr)
-            columns = None
-    if columns is None:
-        store_table(path, g, compute_columns(calc))
-    else:
-        calc.ensure_table(columns)
+    table = compute_columns(calc)
+    store_table(path, g, table)
+    return table
 
 
 def _word_json(g: WeylGroup, w: int) -> dict:
@@ -159,14 +163,14 @@ def _word_json(g: WeylGroup, w: int) -> dict:
 
 
 def _cmd_roots(cfg: JobConfig) -> dict:
-    rs, _, _ = _session(cfg, need_table=False)
+    rs, _, _ = _session(cfg)
     out = rs.to_json()
     out["positive_count"] = len(rs.positive_roots)
     return out
 
 
 def _cmd_weyl(cfg: JobConfig) -> dict:
-    _, g, _ = _session(cfg, need_table=False)
+    _, g, _ = _session(cfg)
     counts: dict[int, int] = {}
     for e in g.elements:
         counts[e.length] = counts.get(e.length, 0) + 1
@@ -185,10 +189,11 @@ def _cmd_weyl(cfg: JobConfig) -> dict:
 
 
 def _cmd_restrict(cfg: JobConfig) -> dict:
-    _, g, calc = _session(cfg, need_table=True)
+    _, g, calc = _session(cfg)
+    table = _ensure_table_cached(cfg, g, calc)
     entries = []
     for v in range(g.order):
-        col = calc.xi_column(v)
+        col = table[v]
         for w in sorted(col):
             if not col[w].is_zero():
                 entries.append({"w": w, "v": v, "value": col[w].to_json()})
@@ -223,7 +228,7 @@ def _generators_json(g: WeylGroup, specs) -> list[dict]:
 
 
 def _cmd_kernel(cfg: JobConfig) -> dict:
-    rs, g, calc = _session(cfg, need_table=True)
+    rs, g, calc = _session(cfg)
     orbit, mu = _orbit_level(cfg, rs, g)
     specs = kirwan.kernel_generators(g, rs, calc, orbit, mu)
     return {
@@ -237,7 +242,7 @@ def _cmd_kernel(cfg: JobConfig) -> dict:
 
 
 def _cmd_betti(cfg: JobConfig) -> dict:
-    rs, g, calc = _session(cfg, need_table=True)
+    rs, g, calc = _session(cfg)
     orbit, mu = _orbit_level(cfg, rs, g)
     dims = kirwan.quotient_betti(g, rs, calc, orbit, mu, dmax=cfg.dmax)
     return {
@@ -251,7 +256,7 @@ def _cmd_betti(cfg: JobConfig) -> dict:
 
 
 def _cmd_oracle_compare(cfg: JobConfig) -> dict:
-    rs, g, calc = _session(cfg, need_table=True)
+    rs, g, calc = _session(cfg)
     orbit, mu = _orbit_level(cfg, rs, g)
     level = kirwan.regular_level(g, rs, orbit, mu)
     theorem = kirwan.kernel_generators(g, rs, calc, orbit, level)
@@ -294,7 +299,7 @@ def _random_homogeneous_class(calc: SchubertCalculus, rng: random.Random,
         if rem < 0:
             continue
         coeff = Polynomial(rs.rank, {
-            tuple(m): Q(rng.randint(-3, 3))
+            tuple(m): rng.randint(-3, 3)
             for m in monomial_basis(rs.rank, rem)})
         if coeff.is_zero():
             continue
@@ -308,7 +313,7 @@ def _random_homogeneous_class(calc: SchubertCalculus, rng: random.Random,
 
 def run_checks(cfg: JobConfig) -> dict:
     """Per-(type, rank) property suite, optionally with an orbit and level."""
-    rs, g, calc = _session(cfg, need_table=True)
+    rs, g, calc = _session(cfg)
     rng = random.Random(cfg.seed)
     results = []
 
@@ -435,14 +440,12 @@ def _render_csv(cfg: JobConfig, out: dict) -> str:
                          " ".join(map(str, gen["v"]["word"])) or "e",
                          " ".join(map(str, gen["witnesses"])),
                          str(gen["half_degree"])])
-    elif cfg.command == "restrict":
+    else:  # restrict
         rows = [["w", "v", "value"]]
         nvars = out["rank"]
         for e in out["entries"]:
             rows.append([str(e["w"]), str(e["v"]),
                          Polynomial.from_json(nvars, e["value"]).as_string()])
-    else:
-        raise ConfigError(f"format csv is not available for {cfg.command!r}")
     return "\n".join(",".join(f'"{c}"' if "," in c else c for c in row)
                      for row in rows) + "\n"
 
@@ -462,15 +465,13 @@ def _render_latex(cfg: JobConfig, out: dict) -> str:
             lines.append(rf"${tau}$ & ${v}$ & ${js}$ & "
                          rf"${2 * gen['half_degree']}$ \\")
         lines.append(r"\end{tabular}")
-    elif cfg.command == "restrict":
+    else:  # restrict
         nvars = out["rank"]
         lines = [r"\begin{tabular}{rrl}", r"$w$ & $v$ & value \\ \hline"]
         for e in out["entries"]:
             val = Polynomial.from_json(nvars, e["value"]).as_string()
             lines.append(rf"{e['w']} & {e['v']} & ${val}$ \\")
         lines.append(r"\end{tabular}")
-    else:
-        raise ConfigError(f"format latex is not available for {cfg.command!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -63,4 +63,5 @@ class LocalizationNotPolynomial(InternalConsistencyError):
 
 
 class CacheCorrupt(WeightvarError):
-    """A cache file failed its checksum or header validation."""
+    """A cache file failed validation: its header, checksum, element order
+    or body is unusable."""

@@ -3,12 +3,13 @@ rank computations the graded dimension counts rest on.
 
 Variables are the simple-root coordinates of t*: exponent tuples of fixed
 length l map to nonzero exact rationals, held as ints or Fractions (the two
-compare, hash and serialize alike). The Weyl action (`LinearSubstitution`)
-yields int coefficients wherever they are integral, so the twisted and
-Schubert classes built from it carry ints, and sums and products of int
-coefficients stay ints. All grading downstream is in half-degrees (a
-cohomological degree-2d class carries polynomials of total degree d); odd
-cohomology never exists here so it is never represented.
+compare, hash and serialize alike). Integral values are held as ints: the
+constructors, `scale` and the Weyl action (`LinearSubstitution`) coerce
+them, and int arithmetic stays int, so the restriction table and every
+class built from it carry ints (`from_json` and `divide_exact` yield
+Fractions). All grading downstream is in half-degrees (a cohomological
+degree-2d class carries polynomials of total degree d); odd cohomology
+never exists here so it is never represented.
 
 Rank is computed fraction-free by `IncrementalRank`, the one eliminator:
 rows are scaled to integers and reduced by cross-multiplication with
@@ -24,6 +25,12 @@ from fractions import Fraction as Q
 from math import gcd
 
 from .errors import DimensionMismatch, NonExactDivision
+
+
+def _exact(c):
+    """An exact rational as an int when it is integral, else a Fraction."""
+    c = Q(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _grlex_key(exp: tuple[int, ...]) -> tuple:
@@ -49,7 +56,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Q(c)})
+        return cls(nvars, {(0,) * nvars: _exact(c)})
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
@@ -59,14 +66,14 @@ class Polynomial:
     def linear_form(cls, coords) -> "Polynomial":
         """The element of t* with the given simple-root coordinates, viewed
         as a degree-1 polynomial."""
-        coords = tuple(Q(c) for c in coords)
+        coords = tuple(_exact(c) for c in coords)
         n = len(coords)
         return cls(n, {tuple(1 if j == i else 0 for j in range(n)): c
                        for i, c in enumerate(coords) if c != 0})
 
     @classmethod
     def monomial(cls, exp: tuple[int, ...], coeff=1) -> "Polynomial":
-        return cls(len(exp), {tuple(exp): Q(coeff)})
+        return cls(len(exp), {tuple(exp): _exact(coeff)})
 
     # -- structure ---------------------------------------------------------
 
@@ -130,7 +137,7 @@ class Polynomial:
         return Polynomial(self.nvars, out)
 
     def scale(self, c) -> "Polynomial":
-        c = Q(c)
+        c = _exact(c)
         return Polynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -217,12 +224,6 @@ class Polynomial:
                 raise DimensionMismatch("exponent length mismatch in JSON")
             terms[exp] = Q(int(t["num"]), int(t["den"]))
         return cls(nvars, terms)
-
-
-def _exact(c):
-    """An exact rational as an int when it is integral, else a Fraction."""
-    c = Q(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 class LinearSubstitution:

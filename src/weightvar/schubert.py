@@ -135,8 +135,7 @@ class SchubertCalculus:
 
     The subword-sum table is built by need, column by column (a column is
     one restriction point and holds the values of every basis element
-    there), each from its parent's; `ensure_table` forces the whole matrix,
-    optionally from precomputed data (the cache file path).
+    there), each from its parent's; `ensure_table` forces the whole matrix.
 
     Basis and twisted-basis classes are kept once built, for the life of the
     instance, so a query that enumerates, de-duplicates and multiplies the
@@ -180,13 +179,9 @@ class SchubertCalculus:
             self._xi_columns[v] = got
         return got
 
-    def ensure_table(self, columns: dict[int, dict[int, Polynomial]] | None = None
-                     ) -> dict[int, dict[int, Polynomial]]:
-        """Force every column, optionally adopting precomputed ones, and
-        return the whole table. Parents precede children in element order,
-        so each forced column is a single step."""
-        if columns is not None:
-            self._xi_columns.update(columns)
+    def ensure_table(self) -> dict[int, dict[int, Polynomial]]:
+        """Force every column and return the whole table. Parents precede
+        children in element order, so each forced column is a single step."""
         for v in range(self.group.order):
             self.xi_column(v)
         return self._xi_columns

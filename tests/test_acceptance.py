@@ -244,16 +244,18 @@ def test_criterion_7_quotient_sanity(session):
 def test_criterion_8_determinism(tmp_path):
     with criterion(8, "byte-identical output across --threads 1/2/8 and "
                       "cold/warm cache"):
-        for cmd in ("betti", "kernel"):
+        level = ["--lambda", "1,1", "--mu=-4/7,-4/11"]
+        # restrict is the command that reads and writes the cache
+        for cmd, extra in (("betti", level), ("kernel", level),
+                           ("restrict", [])):
             outs = []
             for threads in ("1", "2", "8"):
                 cache = tmp_path / f"{cmd}-t{threads}"
                 for _run in range(2):  # first cold, second warm
                     proc = subprocess.run(
                         [sys.executable, "-m", "weightvar", cmd,
-                         "--type", "A", "--rank", "2", "--lambda", "1,1",
-                         "--mu=-4/7,-4/11", "--threads", threads,
-                         "--cache-dir", str(cache)],
+                         "--type", "A", "--rank", "2", *extra,
+                         "--threads", threads, "--cache-dir", str(cache)],
                         capture_output=True, check=True)
                     outs.append(proc.stdout)
             assert len(set(outs)) == 1

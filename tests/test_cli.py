@@ -7,7 +7,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from weightvar import cli
+from weightvar import cache, cli
 from weightvar.cache import cache_path, load_table, store_table
 from weightvar.errors import CacheCorrupt, ConfigError, NonExactDivision
 from weightvar.serialize import parse_rational
@@ -167,6 +167,32 @@ def test_csv_and_latex_renderers(capsys, tmp_path):
     assert code == 3
 
 
+def test_format_refused_before_any_session(capsys, tmp_path, monkeypatch):
+    def no_session(*args, **kwargs):
+        raise AssertionError("a session was built")
+    monkeypatch.setattr(cli, "_session", no_session)
+    cases = [
+        ("roots", "csv", ["--type", "A", "--rank", "2"]),
+        ("weyl", "latex", ["--type", "A", "--rank", "2"]),
+        ("oracle-compare", "csv", ["--type", "A", "--rank", "3",
+                                   "--lambda", "2,1,3",
+                                   "--mu=1551/1559,405/1559,-1728/1559"]),
+        ("check", "latex", ["--type", "A", "--rank", "2"]),
+        # an irregular level: the format is refused first (exit 3, not 2)
+        ("oracle-compare", "latex", ["--type", "A", "--rank", "2",
+                                     "--lambda", "1,1", "--mu", "3,3"]),
+        ("check", "csv", ["--type", "A", "--rank", "2", "--lambda", "1,1",
+                          "--mu", "3,3"]),
+    ]
+    for cmd, fmt, args in cases:
+        code, out, err = run_cli(capsys, [cmd, *args, "--format", fmt,
+                                          "--cache-dir", str(tmp_path)])
+        assert (code, out) == (3, ""), cmd
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": f"format {fmt} is not available for {cmd!r}"}
+
+
 def test_cache_roundtrip_and_corruption(tmp_path, session):
     ctx = session("A", 2)
     g, calc = ctx.group, ctx.calc
@@ -175,9 +201,34 @@ def test_cache_roundtrip_and_corruption(tmp_path, session):
     store_table(path, g, columns)
     loaded = load_table(path, g)
     assert loaded == columns
-    jsonschema.validate(json.loads(path.read_text()), schema("billey-cache"))
+    good = json.loads(path.read_text())
+    jsonschema.validate(good, schema("billey-cache"))
 
-    payload = json.loads(path.read_text())
+    def checksummed(edit):
+        payload = json.loads(json.dumps(good))
+        del payload["checksum"]
+        edit(payload)
+        payload["checksum"] = cache._checksum(payload)
+        return payload
+
+    def first_term(payload):
+        return payload["columns"]["1"]["0"][0]
+
+    # payloads that parse, some with a valid checksum, but cannot be used
+    unusable = [
+        [],
+        checksummed(lambda p: p.pop("elements")),
+        checksummed(lambda p: first_term(p).update(den="0")),
+        checksummed(lambda p: first_term(p).update(exp=[0])),
+        checksummed(lambda p: p["columns"]["1"].update(
+            {"999": p["columns"]["1"]["0"]})),
+    ]
+    for payload in unusable:
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CacheCorrupt):
+            load_table(path, g)
+
+    payload = json.loads(json.dumps(good))
     payload["version"] = 99
     path.write_text(json.dumps(payload))
     with pytest.raises(CacheCorrupt):
@@ -195,20 +246,49 @@ def test_cache_roundtrip_and_corruption(tmp_path, session):
 
 
 def test_cli_recovers_from_corrupt_cache(capsys, tmp_path):
-    argv = ["betti", "--type", "A", "--rank", "1", "--lambda", "1",
-            "--mu", "0", "--cache-dir", str(tmp_path)]
+    argv = ["restrict", "--type", "A", "--rank", "2",
+            "--cache-dir", str(tmp_path)]
     code, cold, _ = run_cli(capsys, argv)
     assert code == 0
-    path = cache_path(tmp_path, "A", 1)
+    path = cache_path(tmp_path, "A", 2)
     assert path.exists()
-    path.write_text("{broken")
-    code, out, err = run_cli(capsys, argv)
-    assert code == 0
-    assert out == cold
-    assert "cache-corrupt" in err
-    # the cache was rewritten and now loads cleanly
-    code, out, err = run_cli(capsys, argv)
-    assert code == 0 and out == cold and err == ""
+    for broken in ("{broken", "[]"):
+        path.write_text(broken)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0
+        assert out == cold
+        assert "cache-corrupt" in err
+        # the cache was rewritten and now loads cleanly
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and out == cold and err == ""
+
+
+def test_level_commands_never_touch_the_cache(capsys, tmp_path, monkeypatch):
+    level = ["--type", "A", "--rank", "2", "--lambda", "2,1",
+             "--mu=85/202,-49/202"]
+    jobs = [["kernel", *level], ["betti", *level], ["oracle-compare", *level],
+            ["check", *level], ["check", "--type", "A", "--rank", "2"],
+            ["kernel", "--type", "A", "--rank", "2", "--lambda", "1,1",
+             "--mu", "3,3"]]
+    flag_dir, env_dir = tmp_path / "flag", tmp_path / "env"
+    flag_dir.mkdir()
+    env_dir.mkdir()
+    monkeypatch.setenv("WEIGHTVAR_CACHE", str(env_dir))
+    clean = []
+    for argv in jobs:
+        clean.append(run_cli(capsys, argv + ["--cache-dir", str(flag_dir)]))
+        assert run_cli(capsys, argv) == clean[-1]
+    assert list(flag_dir.iterdir()) == list(env_dir.iterdir()) == []
+
+    corrupt = [cache_path(d, "A", 2) for d in (flag_dir, env_dir)]
+    for path in corrupt:
+        path.write_text("{broken")
+    for argv, expect in zip(jobs, clean):
+        assert run_cli(capsys, argv + ["--cache-dir", str(flag_dir)]) == expect
+        assert run_cli(capsys, argv) == expect
+    for path in corrupt:
+        assert path.read_text() == "{broken"
+    assert [p.name for p in flag_dir.iterdir()] == [corrupt[0].name]
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
@@ -247,7 +327,7 @@ def test_no_floats_in_any_json_output(capsys, tmp_path):
 
 
 def test_subprocess_entrypoint_determinism(tmp_path):
-    # cold vs warm cache and --threads 1 vs 2, compared as raw bytes
+    # --threads 1 vs 2 and repeated runs, compared as raw bytes
     outs = []
     for threads, cache in [("1", "c1"), ("2", "c2"), ("2", "c2")]:
         proc = subprocess.run(

@@ -11,6 +11,7 @@ import hashlib
 import pytest
 
 from weightvar import cli
+from weightvar.cache import cache_path
 
 # sha256 of the empty string: no output on that stream
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -132,3 +133,47 @@ def test_golden_output(capsys, cache_dir, argv, out_sha, err_sha, code):
     got = cli.main(argv.split() + ["--cache-dir", str(cache_dir)])
     out = capsys.readouterr()
     assert (_sha(out.out), _sha(out.err), got) == (out_sha, err_sha, code)
+
+
+# (table, sha256 of restrict json, of restrict csv, of the stored
+# billey-<type><rank>-v1.json); the same whether built cold or read warm
+TABLE_GOLDEN = [
+    ("A", 2,
+     "9b06fd64cfef3b497639117813814d57e32db9d1f93fc8878d44e00f0d7f40af",
+     "6bedb2a5e137865532de7401e62b385bcc2d97a039a58d041780320257d4204d",
+     "44036339b0ceb5b3198f94ae540e6593cd71bad79cf0ccf36b4135e2664d57d9"),
+    ("G", 2,
+     "223952bf811c14f0d274edab7db58d4378e0161540e1507ee09830bd3475f662",
+     "1f2d9ab6149e02bfac80a246e25836b89fef080967ac8a86dbb5d6b38a3fd554",
+     "7c0aa7bdd04f92acea4604e49c69eb038c1f3e18e698bbe93efa1bbb5a4e1417"),
+    ("A", 3,
+     "a3f494d9d2f1377dd55fdb93c4af0a373e6111e9f8c353e80a1aa405271722df",
+     "762ae8aac426838abac73062abe851c6d383cce2d697aeb7f9972827914d93dc",
+     "dac1409f6d50fc71afd8efa38c0f7f8de678b948c8167b60987184134e779bc9"),
+    ("B", 3,
+     "5ca1b54f089a45af98ff88f660f8ba7507f07d4acc185adab579493402876ca3",
+     "8927f21da325d8fab8887915c03a9760d62b478d3d87d1ab31b98c1bc3b6f764",
+     "d9b880a82d85c16a84734f30ca9d61ec7ad0a0984b014c38fae6ea28654c3bb5"),
+    ("C", 3,
+     "b0b62dd327bce27c36078db603c05a4413583dd72d222f722fe1cede431e8f45",
+     "493b9a817a2400eefb26a9114e19b091dc64b19389012b0bf806c7edb529c5db",
+     "9b030ad50ac66ee622d4390517dfcd85f4792eff92dfad34b3fa8b47e4c65506"),
+]
+
+
+@pytest.mark.parametrize("type_label,rank,json_sha,csv_sha,file_sha",
+                         TABLE_GOLDEN,
+                         ids=[f"{t[0]}{t[1]}" for t in TABLE_GOLDEN])
+def test_golden_restrict_cold_and_warm(capsys, tmp_path, type_label, rank,
+                                       json_sha, csv_sha, file_sha):
+    expect = {"json": json_sha, "csv": csv_sha}
+    for first, second in (("json", "csv"), ("csv", "json")):
+        cache_dir = tmp_path / first
+        for fmt in (first, second):  # a cold build, then a warm read
+            got = cli.main(["restrict", "--type", type_label,
+                            "--rank", str(rank), "--format", fmt,
+                            "--cache-dir", str(cache_dir)])
+            out = capsys.readouterr()
+            assert (_sha(out.out), out.err, got) == (expect[fmt], "", 0)
+        stored = cache_path(cache_dir, type_label, rank).read_bytes()
+        assert hashlib.sha256(stored).hexdigest() == file_sha

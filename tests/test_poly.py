@@ -30,6 +30,18 @@ def test_basic_arithmetic_and_normalization():
     assert Polynomial.zero(2).degree == -1
 
 
+def test_constructors_store_integral_values_as_ints():
+    polys = [Polynomial.constant(2, Q(6, 3)), Polynomial.one(2),
+             Polynomial.monomial((1, 2), Q(-4, 2)),
+             Polynomial.linear_form((Q(2), Q(-1), Q(0))),
+             Polynomial.one(2).scale(Q(14, 7))]
+    for p in polys:
+        assert all(type(c) is int for c in p.terms.values()), p
+    # non-integral values stay exact Fractions
+    assert Polynomial.linear_form((Q(1, 2),)).terms == {(1,): Q(1, 2)}
+    assert A1.scale(Q(2, 3)).terms == {(1, 0): Q(2, 3)}
+
+
 def test_exactness_with_huge_coefficients():
     big = Q(10 ** 40 + 1, 10 ** 39)
     p = P(1, {(1,): big})

@@ -3,9 +3,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+from weightvar.cache import cache_path, load_table, store_table
 from weightvar.errors import InhomogeneousInput
 from weightvar.poly import IncrementalRank, Polynomial, monomial_basis
-from weightvar.schubert import EquivariantClass, support
+from weightvar.schubert import EquivariantClass, SchubertCalculus, support
 
 
 def wid(g, word):
@@ -74,6 +75,25 @@ def test_billey_positivity(session, type_label, rank):
             if not p.is_zero():
                 assert p.degree == g.elements[w].length
                 assert p.is_homogeneous()
+
+
+@pytest.mark.parametrize("type_label,rank",
+                         [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2),
+                          ("B", 3), ("C", 3), ("G", 2)])
+def test_restriction_table_is_integral(session, tmp_path, type_label, rank):
+    g = session(type_label, rank).group
+    table = SchubertCalculus(g).ensure_table()
+    assert all(type(c) is int for col in table.values()
+               for p in col.values() for c in p.terms.values())
+    # the cached copy (parsed back as Fractions) equals it entry by entry
+    path = cache_path(tmp_path, type_label, rank)
+    store_table(path, g, table)
+    loaded = load_table(path, g)
+    assert sorted(loaded) == sorted(table)
+    for v, col in table.items():
+        assert sorted(loaded[v]) == sorted(col)
+        for w, p in col.items():
+            assert loaded[v][w] == p and loaded[v][w].key() == p.key()
 
 
 def _column_along_word(g, word):
