@@ -13,10 +13,10 @@ from .errors import (CacheCorrupt, ConfigError, DegreeOverflow,
                      LocalizationNotPolynomial, MuNotRegularValue,
                      NonExactDivision, RankLimitExceeded, WeightvarError)
 from .kirwan import (GradedDims, KernelGeneratorSpec, OrbitParameter,
-                     ReductionLevel, facet_normals, height,
+                     RegularLevel, facet_normals, height,
                      ideal_graded_dims, is_regular, kernel_generators,
                      moment_vertices, mu_from_weight_coords, orbit_parameter,
-                     quotient_betti, tw_oracle_generators)
+                     quotient_betti, regular_level, tw_oracle_generators)
 from .poly import (Polynomial, RationalMatrix, divide_exact, monomial_basis,
                    rank_over_Q)
 from .rootsys import DEFAULT_MAX_RANK, RootSystem, TVector, build_root_system
@@ -32,9 +32,9 @@ __all__ = [
     "Polynomial", "RationalMatrix", "rank_over_Q", "divide_exact",
     "monomial_basis",
     "SchubertCalculus", "EquivariantClass", "SchubertCoefficients", "support",
-    "OrbitParameter", "ReductionLevel", "KernelGeneratorSpec", "GradedDims",
+    "OrbitParameter", "RegularLevel", "KernelGeneratorSpec", "GradedDims",
     "orbit_parameter", "mu_from_weight_coords", "moment_vertices", "height",
-    "is_regular", "kernel_generators", "tw_oracle_generators",
+    "regular_level", "is_regular", "kernel_generators", "tw_oracle_generators",
     "ideal_graded_dims", "quotient_betti", "facet_normals",
     "WeightvarError", "ConfigError", "InvalidRank", "RankLimitExceeded",
     "DimensionMismatch", "DegreeOverflow", "MuNotRegularValue",

@@ -140,7 +140,8 @@ def _session(cfg: JobConfig):
 def _ensure_table_cached(cfg: JobConfig, g: WeylGroup, calc: SchubertCalculus
                          ) -> dict[int, dict[int, Polynomial]]:
     """The cached table, or a new one built and stored; a corrupt file is
-    reported on stderr and rebuilt."""
+    reported on stderr and rebuilt, and a table that cannot be stored is a
+    configuration error."""
     path = cache_path(cfg.cache_dir or default_cache_dir(), cfg.type_label,
                       cfg.rank)
     if path.exists():
@@ -151,7 +152,12 @@ def _ensure_table_cached(cfg: JobConfig, g: WeylGroup, calc: SchubertCalculus
                                   "message": str(exc)}),
                   end="", file=sys.stderr)
     table = compute_columns(calc)
-    store_table(path, g, table)
+    try:
+        store_table(path, g, table)
+    except OSError as exc:
+        raise ConfigError(f"cannot store the restriction table in cache "
+                          f"directory {path.parent}: {exc.strerror or exc}"
+                          ) from exc
     return table
 
 

@@ -16,8 +16,9 @@ Two independent enumerations of the kernel generators exist on purpose:
   the level, as an exact linear feasibility problem solved by
   Fourier-Motzkin elimination.
 
-They must select the same classes; the acceptance suite compares the
-graded dimensions of the two ideals.
+Both enumerate at a level certified by regular_level, the one
+regularity test. They must select the same classes; the acceptance suite
+compares the graded dimensions of the two ideals.
 """
 
 from __future__ import annotations
@@ -45,26 +46,16 @@ class OrbitParameter:
 
 
 @dataclass(frozen=True)
-class ReductionLevel:
-    """A reduction level; operations refuse it unless it is regular."""
-
-    mu: TVector
-
-
-@dataclass(frozen=True)
-class RegularLevel(ReductionLevel):
-    """A level that `regular_level` certified regular for `orbit`, with the
-    height tables the test read: pre[j][u] = <lambda_j, u lambda> and
+class RegularLevel:
+    """A level `mu` that `regular_level` certified regular for `orbit`, with
+    the height tables the test read: pre[j][u] = <lambda_j, u lambda> and
     lvl[j][t] = <lambda_j, t mu>. The generator enumerations at that orbit
     read their heights from here and do not test the level again."""
 
+    mu: TVector
     orbit: OrbitParameter
     pre: tuple[tuple[Q, ...], ...]
     lvl: tuple[tuple[Q, ...], ...]
-
-
-def _mu_vector(mu) -> TVector:
-    return mu.mu if isinstance(mu, ReductionLevel) else mu
 
 
 @dataclass(frozen=True)
@@ -178,21 +169,27 @@ def _height_tables(g: WeylGroup, rs: RootSystem, orbit: OrbitParameter,
 
 
 def regular_level(g: WeylGroup, rs: RootSystem, orbit: OrbitParameter,
-                  mu: TVector | ReductionLevel) -> RegularLevel:
-    """The one regular-value test: strictly inside the orbit polytope and
-    (rank >= 2) off every critical segment. Refuses the level with
-    MuNotRegularValue, whose diagnostic names the offender, and otherwise
-    certifies it with its height tables.
+                  mu: TVector | RegularLevel) -> RegularLevel:
+    """The one regular-value test: strictly inside the orbit polytope, and
+    no tie between the level's height and a fixed-point height in any
+    chamber direction. Refuses the level with MuNotRegularValue, whose
+    diagnostic names the offender, and otherwise certifies it with its
+    height tables.
 
-    The polytope part reads the height tables alone. By W-invariance the
-    chamber direction t lambda_j has top height max_u pre[j][u] and level
-    height lvl[j][t^-1]; directions are scanned in (t, j) order, so the
-    first one that fails is the first distinct Weyl translate of a
-    fundamental weight that fails.
+    By W-invariance the chamber direction t lambda_j has fixed-point
+    heights pre[j] and level height lvl[j][t^-1]; directions are scanned
+    in (t, j) order, so the first one that fails is the first distinct
+    Weyl translate of a fundamental weight that fails.
+
+    Every point of a critical segment [v lambda, v s_a lambda] is a tie
+    (pick t with t^-1 v a = a_k and j != k: the height in direction
+    t lambda_j is constant along it), so the segments only name a tied
+    level's refusal; any other tie is a wall coincidence at the first
+    (tau, v, j) whose kernel inequality ties.
     """
     if isinstance(mu, RegularLevel) and mu.orbit == orbit:
         return mu
-    mu = _mu_vector(mu)
+    mu = mu.mu if isinstance(mu, RegularLevel) else mu
     pre, lvl = _height_tables(g, rs, orbit, mu)
     tops = [max(row) for row in pre]
     fw = rs.fundamental_weights
@@ -205,17 +202,27 @@ def regular_level(g: WeylGroup, rs: RootSystem, orbit: OrbitParameter,
                 raise MuNotRegularValue(
                     f"outside the moment polytope in direction {d}" if h > top
                     else f"on the facet with outward direction {d}")
-    if rs.rank >= 2:
+    heights = [set(row) for row in pre]
+    tied = [t for t in range(g.order)
+            if any(lvl[j][t] in hs for j, hs in enumerate(heights))]
+    if tied:
         for a, b, v, alpha in gkm_segments(g, rs, orbit):
             if _on_segment(mu, a, b):
                 raise MuNotRegularValue(
                     f"on the critical segment [v.lam, v.s_a.lam] "
                     f"with v id {v}, alpha {_fmt(alpha)}")
+        ti = min(tied, key=g.inverse)
+        tau = g.inverse(ti)
+        v, j = next((v, j) for v in range(g.order) for j in range(rs.rank)
+                    if pre[j][g.multiply(ti, v)] == lvl[j][ti])
+        raise MuNotRegularValue(
+            f"wall coincidence: <lambda_{j + 1}, tau^-1 v lambda> "
+            f"= <lambda_{j + 1}, tau^-1 mu> at tau id {tau}, v id {v}")
     return RegularLevel(mu, orbit, pre, lvl)
 
 
 def is_regular(g: WeylGroup, rs: RootSystem, orbit: OrbitParameter,
-               mu: TVector | ReductionLevel) -> tuple[bool, str]:
+               mu: TVector | RegularLevel) -> tuple[bool, str]:
     """(ok, diagnostic) view of `regular_level`: (True, "regular"), or False
     with the refusal's diagnostic."""
     try:
@@ -252,14 +259,10 @@ def facet_normals(g: WeylGroup, rs: RootSystem,
 
 def kernel_generators(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
                       orbit: OrbitParameter,
-                      mu: TVector | ReductionLevel) -> list[KernelGeneratorSpec]:
-    """Enumerate the kernel generators by the closed height inequality over
-    all (tau, v, j), deduplicated by restriction-vector identity.
-
-    An exact tie in any inequality is refused as a wall coincidence: ties
-    cannot happen at a regular level in rank <= 2, and refusing them keeps
-    the closed/open distinction immaterial everywhere.
-    """
+                      mu: TVector | RegularLevel) -> list[KernelGeneratorSpec]:
+    """Enumerate the kernel generators by the height inequality over all
+    (tau, v, j), deduplicated by restriction-vector identity. The level is
+    certified by `regular_level`, so no inequality ties."""
     level = regular_level(g, rs, orbit, mu)
     pre, lvl = level.pre, level.lvl
     inv = g.inverse
@@ -271,12 +274,7 @@ def kernel_generators(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
             u = mult(ti, v)
             witnesses = []
             for j in range(rs.rank):
-                lhs, rhs = pre[j][u], lvl[j][ti]
-                if lhs == rhs:
-                    raise MuNotRegularValue(
-                        f"wall coincidence: <lambda_{j + 1}, tau^-1 v lambda> "
-                        f"= <lambda_{j + 1}, tau^-1 mu> at tau id {tau}, v id {v}")
-                if lhs < rhs:
+                if pre[j][u] < lvl[j][ti]:
                     witnesses.append(j)
             if witnesses:
                 specs.append(KernelGeneratorSpec(tau, v, tuple(witnesses)))
@@ -385,14 +383,15 @@ def _dedupe_rows(rows):
 
 def tw_oracle_generators(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
                          orbit: OrbitParameter,
-                         mu: TVector | ReductionLevel) -> list[KernelGeneratorSpec]:
+                         mu: TVector | RegularLevel) -> list[KernelGeneratorSpec]:
     """Enumerate generators by exact one-sidedness of the computed supports.
 
     For each twisted basis element, feasibility over the closed weight
     simplex of 'every support image weakly below the level in direction
     tau(sum r_j lambda_j)' is decided by Fourier-Motzkin elimination, with
-    one constraint per support point. No Bruhat shortcut and no
-    monotonicity lemma enter this path.
+    one constraint per support point, at a level certified by
+    `regular_level`. No Bruhat shortcut and no monotonicity lemma enter
+    this path.
     """
     level = regular_level(g, rs, orbit, mu)
     pre, lvl = level.pre, level.lvl
@@ -490,7 +489,7 @@ def h_slice_dims(g: WeylGroup, rs: RootSystem, dmax: int) -> list[int]:
 
 
 def quotient_betti(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
-                   orbit: OrbitParameter, mu: TVector | ReductionLevel,
+                   orbit: OrbitParameter, mu: TVector | RegularLevel,
                    dmax: int | None = None) -> GradedDims:
     """Graded Betti numbers of the reduction at mu.
 

@@ -50,19 +50,37 @@ def vzero(rank: int) -> TVector:
     return (Q(0),) * rank
 
 
+# which ranks each type allows, with the refusal of the others
+_RANK_RULES = {
+    "A": (lambda l: l >= 1, "A_l requires l >= 1"),
+    "B": (lambda l: l >= 2, "B_l requires l >= 2"),
+    "C": (lambda l: l >= 2, "C_l requires l >= 2"),
+    "D": (lambda l: l >= 3, "D_l requires l >= 3"),
+    "E": (lambda l: l in (6, 7, 8), "E_l requires l in {6, 7, 8}"),
+    "F": (lambda l: l == 4, "F_l requires l = 4"),
+    "G": (lambda l: l == 2, "G_l requires l = 2"),
+}
+
+
+def _check_type_rank(type_label: str, rank: int) -> None:
+    rule = _RANK_RULES.get(type_label)
+    if rule is None:
+        raise InvalidRank(f"unknown type label {type_label!r}")
+    valid, refusal = rule
+    if not valid(rank):
+        raise InvalidRank(refusal)
+
+
 def _cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
-    """Integer Cartan matrix, rows indexed by the pairing coroot:
-    C[i][j] = 2<a_i, a_j> / <a_i, a_i>, so s_i(a_j) = a_j - C[i][j] a_i."""
+    """Integer Cartan matrix of a valid (type, rank), rows indexed by the
+    pairing coroot: C[i][j] = 2<a_i, a_j> / <a_i, a_i>, so
+    s_i(a_j) = a_j - C[i][j] a_i."""
     l = rank
     chain_pairs = [(i, i + 1) for i in range(l - 1)]
     if type_label == "A":
-        if l < 1:
-            raise InvalidRank("A_l requires l >= 1")
         edges = {(i, j): -1 for i, j in chain_pairs}
         edges.update({(j, i): -1 for i, j in chain_pairs})
     elif type_label in ("B", "C"):
-        if l < 2:
-            raise InvalidRank(f"{type_label}_l requires l >= 2")
         edges = {(i, j): -1 for i, j in chain_pairs}
         edges.update({(j, i): -1 for i, j in chain_pairs})
         if type_label == "B":
@@ -70,30 +88,20 @@ def _cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
         else:
             edges[(l - 2, l - 1)] = -2  # a_{l} long
     elif type_label == "D":
-        if l < 3:
-            raise InvalidRank("D_l requires l >= 3")
         pairs = [(i, i + 1) for i in range(l - 2)] + [(l - 3, l - 1)]
         edges = {}
         for i, j in pairs:
             edges[(i, j)] = edges[(j, i)] = -1
     elif type_label == "E":
-        if l not in (6, 7, 8):
-            raise InvalidRank("E_l requires l in {6, 7, 8}")
         pairs = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3), (5, 6), (6, 7)][: l - 1]
         edges = {}
         for i, j in pairs:
             edges[(i, j)] = edges[(j, i)] = -1
     elif type_label == "F":
-        if l != 4:
-            raise InvalidRank("F_l requires l = 4")
         edges = {(0, 1): -1, (1, 0): -1, (1, 2): -1, (2, 1): -2,
                  (2, 3): -1, (3, 2): -1}
-    elif type_label == "G":
-        if l != 2:
-            raise InvalidRank("G_l requires l = 2")
+    else:  # G
         edges = {(0, 1): -3, (1, 0): -1}
-    else:
-        raise InvalidRank(f"unknown type label {type_label!r}")
     return [[2 if i == j else edges.get((i, j), 0) for j in range(l)]
             for i in range(l)]
 
@@ -244,10 +252,11 @@ def build_root_system(type_label: str, rank: int,
     squared enumeration downstream is intractable past that at desk scale.
     """
     type_label = type_label.upper()
-    cartan = _cartan_matrix(type_label, rank)
+    _check_type_rank(type_label, rank)
     if rank > max_rank:
         raise RankLimitExceeded(
             f"rank {rank} exceeds the configured maximum {max_rank}")
+    cartan = _cartan_matrix(type_label, rank)  # rank^2 entries: past the guard
     d = _root_lengths(cartan)
     gram = [[d[i] * cartan[i][j] for j in range(rank)] for i in range(rank)]
 

@@ -27,7 +27,11 @@ def parse_rational(text: str) -> Q:
     if not _RATIONAL_RE.match(text):
         raise ConfigError(
             f"{text!r} is not an exact rational (use p, p/q, or a finite decimal)")
-    return Q(text)
+    try:
+        return Q(text)
+    except ValueError as exc:  # more digits than int() converts
+        raise ConfigError(f"rational literal of {len(text)} characters has "
+                          f"too many digits to read exactly") from exc
 
 
 def parse_rational_list(text: str, expect: int | None = None) -> tuple[Q, ...]:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,43 @@ def test_rational_parsing():
             parse_rational(bad)
 
 
+def test_overlong_literals_are_config_errors(capsys, tmp_path):
+    # int() refuses strings longer than the interpreter's digit limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no integer digit limit")
+    digits = "1" + "0" * limit
+    for lam, mu in (("1,1", f"{digits},1"), ("1,1", f"0.{digits},1"),
+                    ("1,1", f"1/{digits},1"), (f"{digits},1", "0,0"),
+                    (f"1,0.{digits}", "0,0")):
+        code, out, err = run_cli(capsys, [
+            "kernel", "--type", "A", "--rank", "2", "--lambda", lam,
+            "--mu", mu, "--cache-dir", str(tmp_path)])
+        assert (code, out) == (3, ""), (lam[:8], mu[:8])
+        data = json.loads(err)
+        jsonschema.validate(data, schema("error"))
+        assert data["error"] == "ConfigError"
+        assert "too many digits" in data["message"]
+
+
+def test_rank_guard_refuses_before_building(capsys, tmp_path):
+    # the Cartan matrix of rank 10**6 would have 10**12 entries
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["roots", "--type", "A", "--rank",
+                                      str(10**6), "--cache-dir", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "RankLimitExceeded",
+        "message": "rank 1000000 exceeds the configured maximum 5"}
+    # an impossible (type, rank) is still refused as such first
+    code, _, err = run_cli(capsys, ["roots", "--type", "E", "--rank", "9",
+                                    "--cache-dir", str(tmp_path)])
+    assert code == 3
+    assert json.loads(err) == {"error": "InvalidRank",
+                               "message": "E_l requires l in {6, 7, 8}"}
+
+
 def test_exact_decimals_accepted_in_cli(capsys, tmp_path):
     code, out, _ = run_cli(capsys, [
         "betti", "--type", "A", "--rank", "1", "--lambda", "1",
@@ -261,6 +299,29 @@ def test_cli_recovers_from_corrupt_cache(capsys, tmp_path):
         # the cache was rewritten and now loads cleanly
         code, out, err = run_cli(capsys, argv)
         assert code == 0 and out == cold and err == ""
+
+
+def test_restrict_cache_dir_that_cannot_be_written(capsys, tmp_path):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    code, out, err = run_cli(capsys, ["restrict", "--type", "A", "--rank", "2",
+                                      "--cache-dir", str(not_a_dir)])
+    assert (code, out) == (3, "")
+    data = json.loads(err)
+    jsonschema.validate(data, schema("error"))
+    assert data["error"] == "ConfigError"
+    assert str(not_a_dir) in data["message"]
+    assert not_a_dir.read_text() == ""
+    # a readable cached table in a read-only place still loads
+    ro = tmp_path / "ro"
+    argv = ["restrict", "--type", "A", "--rank", "2", "--cache-dir", str(ro)]
+    code, cold, _ = run_cli(capsys, argv)
+    assert code == 0
+    ro.chmod(0o555)
+    try:
+        assert run_cli(capsys, argv) == (0, cold, "")
+    finally:
+        ro.chmod(0o755)
 
 
 def test_level_commands_never_touch_the_cache(capsys, tmp_path, monkeypatch):

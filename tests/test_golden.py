@@ -115,6 +115,20 @@ GOLDEN = [
      "check --type A --rank 2 --lambda 2,1 --mu=85/202,-49/202",
      "335c0a3a59623ab9d2329422dea197c1631c36d7ba8c4f0ac83478fea5280bd5",
      EMPTY, 0),
+    # a tie off every critical segment
+    ("refusal-kernel-A3-tie",
+     "kernel --type A --rank 3 --lambda 1,1,1 --mu=0,5/4,0",
+     EMPTY,
+     "9bdeabe06ddccac3e3467dec54457e42f32cb123cb7cd2b32e4d099dd6bb9176", 2),
+    # the one-third point of [lambda, s_theta lambda], theta the highest root
+    ("refusal-kernel-B3-segment",
+     "kernel --type B --rank 3 --lambda 1,2,1 --mu=-1,0,-1",
+     EMPTY,
+     "d800b52e55607edc69b2ebd798c0b74049cb0632b5f8ce131c1a06e18c8092fa", 2),
+    ("refusal-check-A3-wall-coincidence",
+     "check --type A --rank 3 --lambda 1,1,1 --mu=0,0,0",
+     EMPTY,
+     "4c323e77a693d4cbd3a55af8f9a0601f26e1931a4cf5e2ff05f02f3a0598c657", 2),
 ]
 
 

@@ -92,8 +92,9 @@ def test_is_regular_a2_segment(session):
 def _reference_is_regular(g, rs, orbit):
     """The regular-value test as a loop over chamber directions: each
     distinct Weyl translate of a fundamental weight, with the top height of
-    the fixed points in it; then the critical segments. Returns the test
-    as a function of the level."""
+    the fixed points in it; then the critical segments; then every (tau, v,
+    j) of the kernel inequality, refusing the first exact tie. Returns the
+    test as a function of the level."""
     def fmt(x):
         return "(" + ", ".join(str(c) for c in x) + ")"
 
@@ -102,6 +103,9 @@ def _reference_is_regular(g, rs, orbit):
         for w in rs.fundamental_weights:
             directions.setdefault(g.act(t, w))
     tops = [(d, max(rs.inner(d, p) for p in orbit.images)) for d in directions]
+    fw = rs.fundamental_weights
+    # vertex[j][u] = <lambda_j, u lambda>
+    vertex = [[rs.inner(w, p) for p in orbit.images] for w in fw]
     segments = []
     seen = set()
     reflections = [(alpha, g.reflection_element(alpha))
@@ -129,6 +133,16 @@ def _reference_is_regular(g, rs, orbit):
                 if 0 <= s <= 1 and m == vscale(s, d):
                     return False, (f"on the critical segment [v.lam, v.s_a.lam] "
                                    f"with v id {v}, alpha {fmt(alpha)}")
+        for tau in range(g.order):
+            ti = g.inverse(tau)
+            moved = g.act(ti, mu)
+            for v in range(g.order):
+                u = g.multiply(ti, v)
+                for j, w in enumerate(fw):
+                    if vertex[j][u] == rs.inner(w, moved):
+                        return False, (
+                            f"wall coincidence: <lambda_{j + 1}, tau^-1 v lambda> "
+                            f"= <lambda_{j + 1}, tau^-1 mu> at tau id {tau}, v id {v}")
         return True, "regular"
 
     return test
@@ -164,19 +178,32 @@ def test_is_regular_matches_chamber_direction_reference(session, t, r, lam):
         refl = g.reflection_element(alpha)
         levels.append(combination([images[v], images[g.multiply(v, refl)]],
                                   [1, 2]))
+    if r >= 3:
+        # ties off every segment: inside the slice of the fixed points at a
+        # height between the extremes of some fundamental weight
+        fw = rs.fundamental_weights
+        for _ in range(4):
+            w = rng.choice(fw)
+            heights = sorted({rs.inner(w, p) for p in images})
+            h = rng.choice(heights[1:-1])
+            plane = [p for p in images if rs.inner(w, p) == h]
+            levels.append(combination(
+                plane, [rng.randint(1, 6) ** 3 for _ in plane]))
     reference = _reference_is_regular(g, rs, orbit)
     kinds = set()
     for mu in levels:
         got = K.is_regular(g, rs, orbit, mu)
         assert got == reference(mu)
-        kinds.add(" ".join(got[1].split()[:4]))
-    # interior, outside, facet and (rank >= 2) critical-segment levels
-    assert len(kinds) == (3 if r == 1 else 4), kinds
+        kinds.add(next(k for k in ("regular", "outside", "facet", "segment",
+                                   "wall coincidence") if k in got[1]))
+    # interior, outside, facet, (rank >= 2) critical-segment and (rank >= 3)
+    # wall-coincidence levels
+    assert len(kinds) == min(r + 2, 5), kinds
 
 
 def _seeded_levels(rs, g, calc, orbit, rng, count):
     """`count` levels drawn as random convex combinations of the fixed-point
-    images, keeping those the kernel enumeration accepts (no wall tie)."""
+    images, keeping those `regular_level` accepts."""
     levels = []
     while len(levels) < count:
         weights = [rng.randint(1, 6) ** 3 for _ in orbit.images]
@@ -184,7 +211,7 @@ def _seeded_levels(rs, g, calc, orbit, rng, count):
         for p, w in zip(orbit.images, weights):
             mu = vadd(mu, vscale(Q(w, sum(weights)), p))
         try:
-            K.kernel_generators(g, rs, calc, orbit, mu)
+            K.regular_level(g, rs, orbit, mu)
         except MuNotRegularValue:
             continue
         levels.append(mu)
@@ -545,14 +572,38 @@ def test_chamber_invariance(session):
 
 
 def test_wall_coincidence_refusal_a3(session):
-    # mu = 0 in A3 is off every critical segment (so is_regular accepts it)
-    # but ties a vertex height in several directions; the enumeration must
-    # refuse it rather than silently depend on the closed inequality.
+    # mu = 0 in A3 is off every critical segment but ties a vertex height in
+    # several directions, and so does mu = (0, +-5/4, 0); the regularity test
+    # refuses them, so every route refuses them with the same diagnostic
+    # rather than silently depend on the closed inequality.
     rs, g, calc, orbit = mk(session, "A", 3, [1, 1, 1])
-    mu = mu_of(rs, [0, 0, 0])
-    assert K.is_regular(g, rs, orbit, mu)[0]
-    with pytest.raises(MuNotRegularValue, match="wall coincidence"):
-        K.kernel_generators(g, rs, calc, orbit, mu)
+    for coords, tau, v in (([0, 0, 0], 0, 6), ([0, Q(5, 4), 0], 2, 1),
+                           ([0, Q(-5, 4), 0], 2, 1)):
+        mu = mu_of(rs, coords)
+        diag = (f"wall coincidence: <lambda_2, tau^-1 v lambda> "
+                f"= <lambda_2, tau^-1 mu> at tau id {tau}, v id {v}")
+        assert K.is_regular(g, rs, orbit, mu) == (False, diag)
+        for route in (K.kernel_generators, K.tw_oracle_generators):
+            with pytest.raises(MuNotRegularValue) as exc:
+                route(g, rs, calc, orbit, mu)
+            assert exc.value.diagnostic == diag
+
+
+@pytest.mark.parametrize("t,r,lam", [("A", 2, [2, 1]), ("B", 2, [1, 3]),
+                                     ("G", 2, [1, 1]), ("A", 3, [1, 2, 1]),
+                                     ("B", 3, [1, 2, 1]), ("C", 3, [2, 1, 1])])
+def test_every_segment_point_is_a_tie(session, t, r, lam):
+    # pick t with t^-1 v alpha = alpha_k and j != k: the height in direction
+    # t lambda_j is constant along [v lam, v s_alpha lam], so each point of
+    # the segment ties its endpoints' height there
+    rs, g, calc, orbit = mk(session, t, r, lam)
+    directions = K.chamber_directions(g, rs)
+    segments = K.gkm_segments(g, rs, orbit)
+    assert len(segments) == g.order * len(rs.positive_roots) // 2
+    for a, b, _, _ in segments:
+        mu = vadd(a, vscale(Q(1, 3), vsub(b, a)))
+        assert any(rs.inner(d, a) == rs.inner(d, b) == rs.inner(d, mu)
+                   for d in directions)
 
 
 def test_scale_invariance_of_generators(session):
