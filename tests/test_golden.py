@@ -149,41 +149,48 @@ def test_golden_output(capsys, cache_dir, argv, out_sha, err_sha, code):
     assert (_sha(out.out), _sha(out.err), got) == (out_sha, err_sha, code)
 
 
-# (table, sha256 of restrict json, of restrict csv, of the stored
-# billey-<type><rank>-v1.json); the same whether built cold or read warm
+# (table, sha256 of restrict json, of restrict csv, of restrict latex, of
+# the stored billey-<type><rank>-v1.json); the same whether built cold or
+# read warm
 TABLE_GOLDEN = [
     ("A", 2,
      "9b06fd64cfef3b497639117813814d57e32db9d1f93fc8878d44e00f0d7f40af",
      "6bedb2a5e137865532de7401e62b385bcc2d97a039a58d041780320257d4204d",
+     "f5a50b42ed5584866247cc2916236bc60ebad714bc38511270ff3d275345e034",
      "44036339b0ceb5b3198f94ae540e6593cd71bad79cf0ccf36b4135e2664d57d9"),
     ("G", 2,
      "223952bf811c14f0d274edab7db58d4378e0161540e1507ee09830bd3475f662",
      "1f2d9ab6149e02bfac80a246e25836b89fef080967ac8a86dbb5d6b38a3fd554",
+     "8f5eaae7764ea35500d8d1a4ad0d4e2336d5343417297c23863b7d7d8a722e66",
      "7c0aa7bdd04f92acea4604e49c69eb038c1f3e18e698bbe93efa1bbb5a4e1417"),
     ("A", 3,
      "a3f494d9d2f1377dd55fdb93c4af0a373e6111e9f8c353e80a1aa405271722df",
      "762ae8aac426838abac73062abe851c6d383cce2d697aeb7f9972827914d93dc",
+     "2208813453b0db580647f2eb2b165b0840dc80e2c572cfd86e01ff37a30972c1",
      "dac1409f6d50fc71afd8efa38c0f7f8de678b948c8167b60987184134e779bc9"),
     ("B", 3,
      "5ca1b54f089a45af98ff88f660f8ba7507f07d4acc185adab579493402876ca3",
      "8927f21da325d8fab8887915c03a9760d62b478d3d87d1ab31b98c1bc3b6f764",
+     "cd6fb0b812c10b9181c3783530fd34941cbc062387cda18d3385c0d51667fd20",
      "d9b880a82d85c16a84734f30ca9d61ec7ad0a0984b014c38fae6ea28654c3bb5"),
     ("C", 3,
      "b0b62dd327bce27c36078db603c05a4413583dd72d222f722fe1cede431e8f45",
      "493b9a817a2400eefb26a9114e19b091dc64b19389012b0bf806c7edb529c5db",
+     "a132d1e6f979e6fa73856e328ed27c8b7d9bd3f6559682e97d3f8d4e305b08d2",
      "9b030ad50ac66ee622d4390517dfcd85f4792eff92dfad34b3fa8b47e4c65506"),
 ]
 
 
-@pytest.mark.parametrize("type_label,rank,json_sha,csv_sha,file_sha",
+@pytest.mark.parametrize("type_label,rank,json_sha,csv_sha,latex_sha,file_sha",
                          TABLE_GOLDEN,
                          ids=[f"{t[0]}{t[1]}" for t in TABLE_GOLDEN])
 def test_golden_restrict_cold_and_warm(capsys, tmp_path, type_label, rank,
-                                       json_sha, csv_sha, file_sha):
-    expect = {"json": json_sha, "csv": csv_sha}
-    for first, second in (("json", "csv"), ("csv", "json")):
-        cache_dir = tmp_path / first
-        for fmt in (first, second):  # a cold build, then a warm read
+                                       json_sha, csv_sha, latex_sha, file_sha):
+    expect = {"json": json_sha, "csv": csv_sha, "latex": latex_sha}
+    for order in (("json", "csv", "latex"), ("csv", "latex", "json"),
+                  ("latex", "json", "csv")):
+        cache_dir = tmp_path / order[0]
+        for fmt in order:  # a cold build, then warm reads
             got = cli.main(["restrict", "--type", type_label,
                             "--rank", str(rank), "--format", fmt,
                             "--cache-dir", str(cache_dir)])
