@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .errors import CacheCorrupt, DimensionMismatch
 from .poly import Polynomial
+from .serialize import json_text
 from .weyl import WeylGroup
 
 CACHE_VERSION = 1
@@ -60,8 +61,7 @@ def store_table(path: Path, g: WeylGroup,
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.write(json_text(payload, 1) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

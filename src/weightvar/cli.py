@@ -195,15 +195,15 @@ def _cmd_weyl(cfg: JobConfig) -> dict:
 
 
 def _cmd_restrict(cfg: JobConfig) -> dict:
+    """The nonzero entries in (w, v) order; csv and latex print each value
+    as its polynomial text, json as its terms."""
     _, g, calc = _session(cfg)
     table = _ensure_table_cached(cfg, g, calc)
-    entries = []
-    for v in range(g.order):
-        col = table[v]
-        for w in sorted(col):
-            if not col[w].is_zero():
-                entries.append({"w": w, "v": v, "value": col[w].to_json()})
-    entries.sort(key=lambda e: (e["w"], e["v"]))
+    value = Polynomial.to_json if cfg.format == "json" else Polynomial.as_string
+    pairs = sorted((w, v) for v, col in table.items()
+                   for w, p in col.items() if not p.is_zero())
+    entries = [{"w": w, "v": v, "value": value(table[v][w])}
+               for w, v in pairs]
     return {
         "type": cfg.type_label,
         "rank": cfg.rank,
@@ -318,8 +318,13 @@ def _random_homogeneous_class(calc: SchubertCalculus, rng: random.Random,
 
 
 def run_checks(cfg: JobConfig) -> dict:
-    """Per-(type, rank) property suite, optionally with an orbit and level."""
+    """Per-(type, rank) property suite, optionally with an orbit and level.
+    A level is certified regular before any property runs, so a refused
+    level costs no more than it does in `kernel`."""
     rs, g, calc = _session(cfg)
+    if cfg.lambda_coeffs:
+        orbit, mu = _orbit_level(cfg, rs, g)
+        level = kirwan.regular_level(g, rs, orbit, mu)
     rng = random.Random(cfg.seed)
     results = []
 
@@ -385,7 +390,6 @@ def run_checks(cfg: JobConfig) -> dict:
     record("decompose_roundtrip", ok)
 
     if cfg.lambda_coeffs:
-        orbit, mu = _orbit_level(cfg, rs, g)
         ok = True
         for tau in range(g.order):
             ti = g.inverse(tau)
@@ -399,7 +403,6 @@ def run_checks(cfg: JobConfig) -> dict:
                                 ok = False
         record("height_monotonicity", ok)
 
-        level = kirwan.regular_level(g, rs, orbit, mu)
         specs = kirwan.kernel_generators(g, rs, calc, orbit, level)
         classes = kirwan.generator_classes(calc, specs)
         ok = True
@@ -448,10 +451,8 @@ def _render_csv(cfg: JobConfig, out: dict) -> str:
                          str(gen["half_degree"])])
     else:  # restrict
         rows = [["w", "v", "value"]]
-        nvars = out["rank"]
-        for e in out["entries"]:
-            rows.append([str(e["w"]), str(e["v"]),
-                         Polynomial.from_json(nvars, e["value"]).as_string()])
+        rows += [[str(e["w"]), str(e["v"]), e["value"]]
+                 for e in out["entries"]]
     return "\n".join(",".join(f'"{c}"' if "," in c else c for c in row)
                      for row in rows) + "\n"
 
@@ -472,11 +473,9 @@ def _render_latex(cfg: JobConfig, out: dict) -> str:
                          rf"${2 * gen['half_degree']}$ \\")
         lines.append(r"\end{tabular}")
     else:  # restrict
-        nvars = out["rank"]
         lines = [r"\begin{tabular}{rrl}", r"$w$ & $v$ & value \\ \hline"]
-        for e in out["entries"]:
-            val = Polynomial.from_json(nvars, e["value"]).as_string()
-            lines.append(rf"{e['w']} & {e['v']} & ${val}$ \\")
+        lines += [rf"{e['w']} & {e['v']} & ${e['value']}$ \\"
+                  for e in out["entries"]]
         lines.append(r"\end{tabular}")
     return "\n".join(lines) + "\n"
 

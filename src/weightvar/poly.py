@@ -6,10 +6,10 @@ length l map to nonzero exact rationals, held as ints or Fractions (the two
 compare, hash and serialize alike). Integral values are held as ints: the
 constructors, `scale` and the Weyl action (`LinearSubstitution`) coerce
 them, and int arithmetic stays int, so the restriction table and every
-class built from it carry ints (`from_json` and `divide_exact` yield
-Fractions). All grading downstream is in half-degrees (a cohomological
-degree-2d class carries polynomials of total degree d); odd cohomology
-never exists here so it is never represented.
+class built from it carry ints, whether built or read back by `from_json`
+(`divide_exact` yields Fractions). All grading downstream is in
+half-degrees (a cohomological degree-2d class carries polynomials of total
+degree d); odd cohomology never exists here so it is never represented.
 
 Rank is computed fraction-free by `IncrementalRank`, the one eliminator:
 rows are scaled to integers and reduced by cross-multiplication with
@@ -219,10 +219,11 @@ class Polynomial:
     def from_json(cls, nvars: int, data: list[dict]) -> "Polynomial":
         terms = {}
         for t in data:
-            exp = tuple(int(x) for x in t["exp"])
+            exp = tuple(map(int, t["exp"]))
             if len(exp) != nvars:
                 raise DimensionMismatch("exponent length mismatch in JSON")
-            terms[exp] = Q(int(t["num"]), int(t["den"]))
+            num, den = int(t["num"]), int(t["den"])
+            terms[exp] = num if den == 1 else _exact(Q(num, den))
         return cls(nvars, terms)
 
 

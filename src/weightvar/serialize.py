@@ -4,13 +4,20 @@ Every rational crosses the process boundary as a "p/q" (or plain integer)
 string; floats never appear in any output. Parsing accepts integers,
 fractions and finite decimal literals, all of which are exact; anything
 else (scientific notation, inf/nan, stray text) is rejected.
+
+Reports and the cached tables are written by `json_text`, which emits
+exactly the bytes of `json.dumps(obj, sort_keys=True, indent=k)` for the
+values our outputs hold (dicts with str keys, lists, str, int, bool and
+None) and raises TypeError on anything else, floats and Fractions
+included. `json.dumps` with an indent runs CPython's pure-Python encoder;
+this one is several times faster on the restriction tables.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction as Q
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ConfigError
 
@@ -47,6 +54,65 @@ def poly_free_vector(v) -> list[str]:
     return [rational_str(c) for c in v]
 
 
+def json_text(obj, indent: int) -> str:
+    """`obj` as JSON with sorted keys, `indent` spaces per level and ASCII
+    escapes: byte-identical to `json.dumps(obj, sort_keys=True,
+    indent=indent)`. Only dict (str keys), list, str, int, bool and None
+    are accepted; anything else raises TypeError."""
+    out: list[str] = []
+    _emit(obj, out.append, "\n", " " * indent)
+    return "".join(out)
+
+
+def _emit(o, put, nl: str, step: str) -> None:
+    """Append the JSON of `o` at the nesting whose newline-plus-indent is
+    `nl`."""
+    if isinstance(o, str):
+        put(_quote(o))
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    elif isinstance(o, list):
+        if not o:
+            put("[]")
+            return
+        inner = nl + step
+        if all(type(x) is int for x in o):  # an exponent vector or a word
+            put("[" + inner + ("," + inner).join(map(int.__repr__, o))
+                + nl + "]")
+            return
+        sep = "[" + inner
+        for x in o:
+            put(sep)
+            _emit(x, put, inner, step)
+            sep = "," + inner
+        put(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = nl + step
+        sep = "{" + inner
+        for k in sorted(o):
+            if not isinstance(k, str):
+                raise TypeError(f"JSON object keys must be str, "
+                                f"not {type(k).__name__}")
+            put(sep + _quote(k) + ": ")
+            _emit(o[k], put, inner, step)
+            sep = "," + inner
+        put(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} "
+                        f"is not JSON serializable")
+
+
 def canonical_json(obj) -> str:
-    """Deterministic rendering used for files, stdout and checksums."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic rendering used for stdout and stderr: sorted keys, an
+    indent of 2 and ASCII escapes, byte-identical to `json.dumps(obj,
+    sort_keys=True, indent=2)`, plus a final newline."""
+    return json_text(obj, 2) + "\n"

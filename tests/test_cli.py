@@ -99,6 +99,20 @@ def test_exit_code_not_regular(capsys, tmp_path):
     assert "segment" in json.loads(err)["diagnostic"]
 
 
+def test_check_refuses_a_level_before_any_property(capsys, tmp_path,
+                                                  monkeypatch):
+    def no_property(*args):
+        raise AssertionError("a property ran at a refused level")
+
+    monkeypatch.setattr(cli.SchubertCalculus, "billey_restriction",
+                        no_property)
+    code, out, err = run_cli(capsys, [
+        "check", "--type", "A", "--rank", "3", "--lambda", "1,1,1",
+        "--mu=0,0,0", "--cache-dir", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "MuNotRegularValue"
+
+
 def test_exit_code_bad_config(capsys, tmp_path):
     cases = [
         ["betti", "--type", "A", "--rank", "1", "--lambda", "1", "--mu", "x"],

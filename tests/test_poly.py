@@ -285,6 +285,17 @@ def test_json_roundtrip():
         Polynomial.from_json(3, data)
 
 
+def test_from_json_stores_integral_values_as_ints():
+    p = Polynomial.from_json(2, [{"exp": [1, 0], "num": "-3", "den": "1"},
+                                 {"exp": [0, 2], "num": "2", "den": "2"},
+                                 {"exp": [0, 1], "num": "3", "den": "6"}])
+    assert p.terms == {(1, 0): -3, (0, 2): 1, (0, 1): Q(1, 2)}
+    assert [type(c) for c in (p.terms[(1, 0)], p.terms[(0, 2)])] == [int, int]
+    assert type(p.terms[(0, 1)]) is Q
+    with pytest.raises(ZeroDivisionError):
+        Polynomial.from_json(1, [{"exp": [1], "num": "1", "den": "0"}])
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         A1 + Polynomial.one(3)
