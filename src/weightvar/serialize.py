@@ -10,7 +10,7 @@ exactly the bytes of `json.dumps(obj, sort_keys=True, indent=k)` for the
 values our outputs hold (dicts with str keys, lists, str, int, bool and
 None) and raises TypeError on anything else, floats and Fractions
 included. `json.dumps` with an indent runs CPython's pure-Python encoder;
-this one is several times faster on the restriction tables.
+this one takes about half its time on the restriction tables.
 """
 
 from __future__ import annotations
