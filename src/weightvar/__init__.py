@@ -17,8 +17,7 @@ from .kirwan import (GradedDims, KernelGeneratorSpec, OrbitParameter,
                      ideal_graded_dims, is_regular, kernel_generators,
                      moment_vertices, mu_from_weight_coords, orbit_parameter,
                      quotient_betti, regular_level, tw_oracle_generators)
-from .poly import (Polynomial, RationalMatrix, divide_exact, monomial_basis,
-                   rank_over_Q)
+from .poly import Polynomial, divide_exact, monomial_basis
 from .rootsys import DEFAULT_MAX_RANK, RootSystem, TVector, build_root_system
 from .schubert import (EquivariantClass, SchubertCalculus,
                        SchubertCoefficients, support)
@@ -29,8 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "build_root_system", "RootSystem", "TVector", "DEFAULT_MAX_RANK",
     "generate_weyl", "WeylGroup", "WeylElement",
-    "Polynomial", "RationalMatrix", "rank_over_Q", "divide_exact",
-    "monomial_basis",
+    "Polynomial", "divide_exact", "monomial_basis",
     "SchubertCalculus", "EquivariantClass", "SchubertCoefficients", "support",
     "OrbitParameter", "RegularLevel", "KernelGeneratorSpec", "GradedDims",
     "orbit_parameter", "mu_from_weight_coords", "moment_vertices", "height",

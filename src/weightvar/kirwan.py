@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (ConfigError, DegreeOverflow,
                      InternalConsistencyError, MuNotRegularValue)
@@ -328,56 +328,70 @@ def generator_classes(calc: SchubertCalculus,
 
 
 def fourier_motzkin_feasible(rows: list[tuple[tuple[Q, ...], Q]]) -> bool:
-    """Decide whether {x : coeffs . x <= rhs for every row} is nonempty,
-    eliminating variables left to right over exact rationals."""
-    if not rows:
-        return True
-    nvars = len(rows[0][0])
-    cur = [(tuple(c), Q(r)) for c, r in rows]
-    for _ in range(nvars):
-        pos, neg, rest = [], [], []
+    """Decide whether {x real : coeffs . x <= rhs for every row} is nonempty.
+
+    Each row is scaled to integers once, on entry, by the lcm of its
+    denominators; the factor is positive, so the half-space is unchanged,
+    and a row of ints is scaled by 1. Variables are then eliminated left to
+    right in Python ints: every row with a positive first coefficient a is
+    combined with every row with a negative one -b through the positive
+    multipliers b and a, divided by gcd(a, b), and `_dedupe_rows` keeps one
+    row per direction. A constant row 0 <= r with r < 0 proves the system
+    empty; one with r >= 0 is dropped.
+    """
+    cur = _dedupe_rows([_int_constraint(c, r) for c, r in rows])
+    while cur:
+        pos, neg, combined = [], [], []
         for c, r in cur:
             if c[0] > 0:
                 pos.append((c, r))
             elif c[0] < 0:
                 neg.append((c, r))
             else:
-                rest.append((c[1:], r))
-        combined = rest
+                combined.append((c[1:], r))
         for cp, rp in pos:
             for cn, rn in neg:
                 a, b = cp[0], -cn[0]
+                g = gcd(a, b)
+                a //= g
+                b //= g
                 row = tuple(b * x + a * y for x, y in zip(cp[1:], cn[1:]))
                 combined.append((row, b * rp + a * rn))
         cur = _dedupe_rows(combined)
-    return all(r >= 0 for _, r in cur)
+    return cur is not None
+
+
+def _int_constraint(coeffs, rhs) -> tuple[tuple[int, ...], int]:
+    """The row coeffs . x <= rhs times the lcm of its denominators."""
+    d = lcm(rhs.denominator, *(v.denominator for v in coeffs))
+    return (tuple(v.numerator * (d // v.denominator) for v in coeffs),
+            rhs.numerator * (d // rhs.denominator))
 
 
 def _dedupe_rows(rows):
+    """One integer row per direction, or None if a constant row 0 <= r has
+    r < 0; constant rows with r >= 0 are dropped.
+
+    A row c . x <= r has the direction c / g, g = gcd(c) > 0, and the bound
+    r / g. Of the rows sharing a direction the one with the least bound
+    stays, compared exactly as r1 g2 < r2 g1; x is real, so a bound is never
+    rounded. The kept row is divided by gcd(g, r).
+    """
     seen = {}
-    constant_min = None
-    width = 0
     for c, r in rows:
-        width = len(c)
-        denom = 1
-        for v in list(c) + [r]:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        ints = [int(v * denom) for v in c]
-        g_all = 0
-        for v in ints:
-            g_all = gcd(g_all, v)
-        if g_all == 0:
-            # constant constraint 0 <= r
-            if constant_min is None or r < constant_min:
-                constant_min = r
+        g = gcd(*c)
+        if not g:
+            if r < 0:
+                return None
             continue
-        key = tuple(v // g_all for v in ints)
-        val = Q(int(r * denom), g_all)
-        if key not in seen or val < seen[key]:
-            seen[key] = val
-    out = [(k, v) for k, v in seen.items()]
-    if constant_min is not None:
-        out.append(((Q(0),) * width, constant_min))
+        key = tuple(v // g for v in c)
+        got = seen.get(key)
+        if got is None or r * got[1] < got[0] * g:
+            seen[key] = (r, g, c)
+    out = []
+    for r, g, c in seen.values():
+        h = gcd(g, r)
+        out.append((tuple(v // h for v in c), r // h) if h != 1 else (c, r))
     return out
 
 
@@ -394,29 +408,33 @@ def tw_oracle_generators(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
     this path.
     """
     level = regular_level(g, rs, orbit, mu)
-    pre, lvl = level.pre, level.lvl
+    # Every margin pre[j][u] - lvl[j][t] is over the lcm of the tables'
+    # denominators; scaling both tables by it makes the margins ints and
+    # keeps every sign, and each margin row's half-space.
+    den = lcm(*(x.denominator for table in (level.pre, level.lvl)
+                for row in table for x in row))
+    pre, lvl = [[[x.numerator * (den // x.denominator) for x in row]
+                 for row in table] for table in (level.pre, level.lvl)]
     l = rs.rank
     inv = g.inverse
     mult = g.multiply
+    # the closed simplex: -r_j <= 0 for j < l, sum_{j<l} r_j <= 1
+    simplex = [(tuple(-1 if k == j else 0 for k in range(l - 1)), 0)
+               for j in range(l - 1)] + [((1,) * (l - 1), 1)]
     specs = []
     for tau in range(g.order):
         ti = inv(tau)
+        at_level = [lvl[j][ti] for j in range(l)]
         for v in range(g.order):
             supp = calc.twisted_support(tau, v)
             margins = []
             for w in supp:
                 u = mult(ti, w)
-                margins.append(tuple(pre[j][u] - lvl[j][ti] for j in range(l)))
+                margins.append([pre[j][u] - at_level[j] for j in range(l)])
             # substitute r_l = 1 - sum_{j<l} r_j over the closed simplex
-            rows: list[tuple[tuple[Q, ...], Q]] = []
-            for m in margins:
-                rows.append((tuple(m[j] - m[l - 1] for j in range(l - 1)),
-                             -m[l - 1]))
-            for j in range(l - 1):
-                rows.append((tuple(Q(-1) if k == j else Q(0)
-                                   for k in range(l - 1)), Q(0)))
-            rows.append(((Q(1),) * (l - 1), Q(1)))
-            if fourier_motzkin_feasible(rows):
+            rows = [(tuple(m[j] - m[l - 1] for j in range(l - 1)), -m[l - 1])
+                    for m in margins]
+            if fourier_motzkin_feasible(rows + simplex):
                 witnesses = tuple(j for j in range(l)
                                   if all(m[j] <= 0 for m in margins))
                 if not witnesses:

@@ -11,18 +11,21 @@ class built from it carry ints, whether built or read back by `from_json`
 half-degrees (a cohomological degree-2d class carries polynomials of total
 degree d); odd cohomology never exists here so it is never represented.
 
-Rank is computed fraction-free by `IncrementalRank`, the one eliminator:
-rows are scaled to integers and reduced by cross-multiplication with
-gcd-normalized multipliers, so no rational division ever happens during
-elimination. Its pivot rows are an exact basis of the span, which the
-graded dimension count carries up one degree.
+Rank is computed in Python ints by `IncrementalRank`, the one eliminator.
+Each row is scaled once to coprime integers (a row of ints needs no
+scaling), then reduced in place against the stored pivots by
+cross-multiplication with gcd-reduced multipliers, multiplying the row
+only when the pivot's multiplier is not 1, so no rational division ever
+happens during elimination. Intermediate rows are not re-normalized: a row
+is divided by the gcd of its entries, and signed to a positive leading
+entry, once, when it is stored as a pivot. Its pivot rows are an exact
+basis of the span, which the graded dimension count carries up one degree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, NonExactDivision
 
@@ -305,21 +308,25 @@ def monomial_basis(nvars: int, degree: int) -> list[tuple[int, ...]]:
 def _int_row(values: dict[int, int | Q]) -> dict[int, int]:
     """Scale a sparse rational row (ints or Fractions, zeros allowed) to
     coprime integers (sign-normalized)."""
-    if not values:
-        return {}
-    denom = 1
-    for v in values.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    row = {c: int(v * denom) for c, v in values.items() if v != 0}
+    vals = values.values()
+    if all(type(v) is int for v in vals):
+        row = {c: v for c, v in values.items() if v}
+    else:
+        denom = lcm(*(v.denominator for v in vals))
+        row = {c: v.numerator * (denom // v.denominator)
+               for c, v in values.items() if v}
+    return _primitive(row)
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """A sparse integer row divided by the gcd of its entries, signed so
+    that its leading (lowest-column) entry is positive."""
     if not row:
-        return {}
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-    lead = row[min(row)]
-    if lead < 0:
+        return row
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
         g = -g
-    return {c: v // g for c, v in row.items()}
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
 class IncrementalRank:
@@ -338,8 +345,9 @@ class IncrementalRank:
         return len(self._pivots)
 
     def pivot_rows(self) -> list[dict[int, int]]:
-        """The stored echelon rows, primitive integer rows spanning every
-        row added so far; callers read them and must not mutate them."""
+        """The stored echelon rows, primitive integer rows with a positive
+        leading entry spanning every row added so far; callers read them
+        and must not mutate them."""
         return list(self._pivots.values())
 
     def add_row(self, values: dict[int, int | Q]) -> bool:
@@ -350,27 +358,28 @@ class IncrementalRank:
         if sig in self._seen:
             return False
         self._seen.add(sig)
+        pivots = self._pivots
+        # reduced in place and never re-normalized; `_primitive` runs once,
+        # on the row that is stored
         while row:
             lead = min(row)
-            piv = self._pivots.get(lead)
+            piv = pivots.get(lead)
             if piv is None:
-                self._pivots[lead] = row
+                pivots[lead] = _primitive(row)
                 return True
             a, b = piv[lead], row[lead]
             g = gcd(a, b)
             a //= g
             b //= g
-            new = {c: v * a for c, v in row.items()}
+            if a != 1:
+                for c in row:
+                    row[c] *= a
             for c, v in piv.items():
-                nv = new.get(c, 0) - v * b
+                nv = row.get(c, 0) - v * b
                 if nv:
-                    new[c] = nv
+                    row[c] = nv
                 else:
-                    new.pop(c, None)
-            g = 0
-            for v in new.values():
-                g = gcd(g, v)
-            row = {c: v // g for c, v in new.items()} if g else {}
+                    del row[c]
         return False
 
 
@@ -426,25 +435,3 @@ class ModularRank:
                         new[c] = nv
             row = new
         return False
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense exact-rational matrix; only rank queries are needed."""
-
-    rows: tuple[tuple[Q, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows) -> "RationalMatrix":
-        out = tuple(tuple(Q(v) for v in row) for row in rows)
-        if out and any(len(r) != len(out[0]) for r in out):
-            raise DimensionMismatch("ragged matrix rows")
-        return cls(out)
-
-
-def rank_over_Q(m: RationalMatrix) -> int:
-    """Exact rank, independent of row order."""
-    acc = IncrementalRank()
-    for row in m.rows:
-        acc.add_row({c: v for c, v in enumerate(row) if v != 0})
-    return acc.rank

@@ -61,6 +61,19 @@ class EquivariantClass:
         self.restrictions = clean
         self._key: tuple | None = None
 
+    @classmethod
+    def _derived(cls, nvars: int, half_degree: int,
+                 restrictions: dict[int, Polynomial]) -> "EquivariantClass":
+        """A class built from classes already checked, such as a Weyl twist
+        or a product: every restriction is homogeneous of `half_degree` by
+        construction, so only zero restrictions are dropped."""
+        self = cls.__new__(cls)
+        self.nvars = nvars
+        self.half_degree = half_degree
+        self.restrictions = {v: p for v, p in restrictions.items() if p.terms}
+        self._key = None
+        return self
+
     def restriction(self, v: int) -> Polynomial:
         return self.restrictions.get(v) or Polynomial.zero(self.nvars)
 
@@ -88,7 +101,7 @@ class EquivariantClass:
 
     def __mul__(self, other: "EquivariantClass") -> "EquivariantClass":
         common = self.restrictions.keys() & other.restrictions.keys()
-        return EquivariantClass(
+        return EquivariantClass._derived(
             self.nvars, self.half_degree + other.half_degree,
             {v: self.restrictions[v] * other.restrictions[v] for v in common})
 
@@ -224,7 +237,7 @@ class SchubertCalculus:
         subst = self._substitution(tau)
         restr = {g.multiply(tau, u): subst(p)
                  for u, p in c.restrictions.items()}
-        return EquivariantClass(self.nvars, c.half_degree, restr)
+        return EquivariantClass._derived(self.nvars, c.half_degree, restr)
 
     def twisted_class(self, tau: int, v: int) -> EquivariantClass:
         """Element of the tau-twisted basis indexed by v, supported on

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
@@ -399,6 +400,131 @@ def test_fourier_motzkin_basics():
     assert not K.fourier_motzkin_feasible(rows + [((one, one), Q(-1))])
     assert K.fourier_motzkin_feasible([])
     assert not K.fourier_motzkin_feasible([((), Q(-1))])
+
+
+def _reference_fourier_motzkin(rows):
+    """Fourier-Motzkin elimination over Fractions, left to right, keeping
+    the least bound of each primitive direction and the least constant."""
+    if not rows:
+        return True
+    cur = [(tuple(map(Q, c)), Q(r)) for c, r in rows]
+    nvars = len(rows[0][0])
+    for step in range(nvars):
+        pos, neg, combined = [], [], []
+        for c, r in cur:
+            if c[0] > 0:
+                pos.append((c, r))
+            elif c[0] < 0:
+                neg.append((c, r))
+            else:
+                combined.append((c[1:], r))
+        for cp, rp in pos:
+            for cn, rn in neg:
+                a, b = cp[0], -cn[0]
+                combined.append((tuple(b * x + a * y
+                                       for x, y in zip(cp[1:], cn[1:])),
+                                 b * rp + a * rn))
+        seen, constant = {}, None
+        for c, r in combined:
+            denom = 1
+            for v in c + (r,):
+                denom = denom * v.denominator // gcd(denom, v.denominator)
+            ints = [int(v * denom) for v in c]
+            g = 0
+            for v in ints:
+                g = gcd(g, v)
+            if g == 0:
+                constant = r if constant is None else min(constant, r)
+                continue
+            key = tuple(v // g for v in ints)
+            val = Q(int(r * denom), g)
+            if key not in seen or val < seen[key]:
+                seen[key] = val
+        cur = [(tuple(map(Q, k)), v) for k, v in seen.items()]
+        if constant is not None:
+            cur.append(((Q(0),) * (nvars - step - 1), constant))
+    return all(r >= 0 for _, r in cur)
+
+
+def _reference_oracle_rows(g, rs, calc, level):
+    """Each (tau, v) oracle problem of `tw_oracle_generators` over
+    Fractions, from the level's unscaled height tables."""
+    l = rs.rank
+    for tau in range(g.order):
+        ti = g.inverse(tau)
+        for v in range(g.order):
+            margins = [tuple(level.pre[j][g.multiply(ti, w)] - level.lvl[j][ti]
+                             for j in range(l))
+                       for w in calc.twisted_support(tau, v)]
+            rows = [(tuple(m[j] - m[l - 1] for j in range(l - 1)), -m[l - 1])
+                    for m in margins]
+            rows += [(tuple(Q(-1) if k == j else Q(0) for k in range(l - 1)),
+                      Q(0)) for j in range(l - 1)]
+            rows.append(((Q(1),) * (l - 1), Q(1)))
+            yield rows
+
+
+@pytest.mark.parametrize("t,r,lam", ORBITS[1:5])
+def test_fourier_motzkin_matches_fraction_reference_on_oracle_problems(
+        session, monkeypatch, t, r, lam):
+    # every problem the oracle solves at seeded levels: its integer rows are
+    # the Fraction rows of the unscaled tables, each margin row times one
+    # positive factor and the simplex rows unscaled, and both get the
+    # verdict of the Fraction elimination
+    rs, g, calc, orbit = mk(session, t, r, lam)
+    fm = K.fourier_motzkin_feasible
+    calls = []
+
+    def recording(rows):
+        calls.append((rows, fm(rows)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(K, "fourier_motzkin_feasible", recording)
+    for mu in _seeded_levels(rs, g, calc, orbit, random.Random(29),
+                             1 if r >= 3 else 2):
+        level = K.regular_level(g, rs, orbit, mu)
+        del calls[:]
+        K.tw_oracle_generators(g, rs, calc, orbit, level)
+        problems = list(_reference_oracle_rows(g, rs, calc, level))
+        assert len(calls) == len(problems) == g.order ** 2
+        factors = set()
+        for (rows, _), ref in zip(calls, problems):
+            assert len(rows) == len(ref)
+            assert all(type(x) is int for c, b in rows for x in c + (b,))
+            assert rows[-r:] == ref[-r:]
+            for (c, b), (rc, rb) in zip(rows[:-r], ref[:-r]):
+                k = next(x / y for x, y in zip(c + (b,), rc + (rb,)) if y)
+                assert k > 0 and c == tuple(k * y for y in rc) and b == k * rb
+                factors.add(k)
+        assert len(factors) == 1
+        verdicts = [v for _, v in calls]
+        assert verdicts == [_reference_fourier_motzkin(p) for p in problems]
+        assert verdicts == [fm(p) for p in problems]
+        assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_fourier_motzkin_matches_fraction_reference_on_random_systems():
+    # mixed signs, zero columns, constant rows, int and Fraction entries
+    rng = random.Random(31)
+    verdicts = []
+    for trial in range(400):
+        nvars = rng.randint(0, 4)
+        zero_cols = {k for k in range(nvars) if rng.random() < 0.2}
+
+        def value():
+            v = rng.randint(-5, 5)
+            return v if trial % 3 == 0 else Q(v, rng.choice([1, 2, 3, 6]))
+
+        rows = []
+        for _ in range(rng.randint(0, 9)):
+            constant = rng.random() < 0.1
+            coeffs = tuple(0 if constant or k in zero_cols else value()
+                           for k in range(nvars))
+            rows.append((coeffs, value() + rng.randint(0, 4)))
+        got = K.fourier_motzkin_feasible(rows)
+        assert got == _reference_fourier_motzkin(rows), rows
+        verdicts.append(got)
+    assert 100 < sum(verdicts) < 300
 
 
 def test_ideal_graded_dims_examples(session):

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
+from weightvar import kirwan as K
 from weightvar.errors import DimensionMismatch, NonExactDivision
 from weightvar.poly import (IncrementalRank, LinearSubstitution, ModularRank,
-                            Polynomial, RationalMatrix, divide_exact,
-                            monomial_basis, rank_over_Q)
+                            Polynomial, divide_exact, monomial_basis)
 
 
 def P(nvars, terms):
@@ -194,14 +195,19 @@ def test_monomial_basis():
     assert ms == sorted(ms, reverse=True)
 
 
+def _rank(rows):
+    """Exact rank of a dense matrix given as rows, by `IncrementalRank`."""
+    acc = IncrementalRank()
+    for row in rows:
+        acc.add_row({c: Q(v) for c, v in enumerate(row) if v != 0})
+    return acc.rank
+
+
 def test_rank_examples():
-    eye = RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert rank_over_Q(eye) == 3
-    zero = RationalMatrix.from_rows([[0, 0], [0, 0]])
-    assert rank_over_Q(zero) == 0
-    assert rank_over_Q(RationalMatrix.from_rows([[1, 2], [2, 4]])) == 1
-    m = RationalMatrix.from_rows([[Q(1, 2), Q(1, 3)], [Q(3), Q(2)]])
-    assert rank_over_Q(m) == 1
+    assert _rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+    assert _rank([[0, 0], [0, 0]]) == 0
+    assert _rank([[1, 2], [2, 4]]) == 1
+    assert _rank([[Q(1, 2), Q(1, 3)], [Q(3), Q(2)]]) == 1
 
 
 def _rank_oracle(rows):
@@ -233,14 +239,14 @@ def test_rank_randomized_vs_oracle_and_invariance():
         rows = [[Q(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
                  for _ in range(nc)] for _ in range(nr)]
         expected = _rank_oracle(rows)
-        assert rank_over_Q(RationalMatrix.from_rows(rows)) == expected
+        assert _rank(rows) == expected
         shuffled = rows[:]
         rng.shuffle(shuffled)
         scaled = [[Q(rng.choice([1, 2, 5, 7]), rng.choice([1, 3])) * x
                    for x in row] for row in shuffled]
-        assert rank_over_Q(RationalMatrix.from_rows(scaled)) == expected
+        assert _rank(scaled) == expected
         transposed = [list(col) for col in zip(*rows)]
-        assert rank_over_Q(RationalMatrix.from_rows(transposed)) == expected
+        assert _rank(transposed) == expected
 
 
 def test_incremental_rank_growth():
@@ -274,6 +280,146 @@ def test_incremental_rank_pivot_rows_span_the_rows():
     again = IncrementalRank()
     assert all(again.add_row(row) for row in pivots)
     assert not any(again.add_row(row) for row in rows)
+
+
+def _reference_int_row(values):
+    """A sparse rational row scaled to coprime integers whose leading entry
+    is positive, by an lcm of the denominators built one at a time."""
+    denom = 1
+    for v in values.values():
+        denom = denom * v.denominator // gcd(denom, v.denominator)
+    row = {c: int(v * denom) for c, v in values.items() if v != 0}
+    if not row:
+        return {}
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+    if row[min(row)] < 0:
+        g = -g
+    return {c: v // g for c, v in row.items()}
+
+
+class _ReferenceRank:
+    """The fraction-free eliminator that rebuilds the row and divides it by
+    the gcd of its entries after every reduction step."""
+
+    def __init__(self):
+        self.pivots = {}
+        self.seen = set()
+
+    def add_row(self, values):
+        row = _reference_int_row(values)
+        if not row:
+            return False
+        sig = tuple(sorted(row.items()))
+        if sig in self.seen:
+            return False
+        self.seen.add(sig)
+        while row:
+            lead = min(row)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                self.pivots[lead] = row
+                return True
+            a, b = piv[lead], row[lead]
+            g = gcd(a, b)
+            a //= g
+            b //= g
+            new = {c: v * a for c, v in row.items()}
+            for c, v in piv.items():
+                nv = new.get(c, 0) - v * b
+                if nv:
+                    new[c] = nv
+                else:
+                    new.pop(c, None)
+            g = 0
+            for v in new.values():
+                g = gcd(g, v)
+            row = {c: v // g for c, v in new.items()} if g else {}
+        return False
+
+
+def _check_against_reference(rows):
+    """Offer `rows` to `IncrementalRank` and to the reference: the
+    accepted/refused sequences and the ranks agree, every stored pivot is
+    primitive with a positive leading entry, and it is the reference's
+    pivot on the same leading column up to sign."""
+    acc, ref = IncrementalRank(), _ReferenceRank()
+    got = [acc.add_row(row) for row in rows]
+    assert got == [ref.add_row(row) for row in rows]
+    assert acc.rank == len(ref.pivots)
+    for piv in acc.pivot_rows():
+        lead = min(piv)
+        assert gcd(*piv.values()) == 1 and piv[lead] > 0
+        want = ref.pivots[lead]
+        if want[lead] < 0:
+            want = {c: -v for c, v in want.items()}
+        assert piv == want
+    return got
+
+
+def test_incremental_rank_matches_normalize_every_step_reference():
+    # integer and Fraction matrices, dense (zeros offered) and sparse; most
+    # rows are integer combinations of fewer basis rows, so the matrices
+    # are rank-deficient and most rows are refused
+    rng = random.Random(23)
+    deficient = 0
+    for trial in range(80):
+        ncols = rng.randint(1, 12)
+        dens = [1] if trial % 2 == 0 else [1, 2, 3, 4, 7]
+
+        def entry():
+            return Q(rng.randint(-9, 9), rng.choice(dens))
+
+        basis = [[entry() for _ in range(ncols)]
+                 for _ in range(rng.randint(0, min(ncols, 7)))]
+        rows = [list(b) for b in basis]
+        for _ in range(rng.randint(0, 10)):
+            ks = [rng.randint(-3, 3) for _ in basis]
+            rows.append([sum((k * b[c] for k, b in zip(ks, basis)), Q(0))
+                         for c in range(ncols)])
+        rng.shuffle(rows)
+        if trial % 2 == 0:
+            rows = [[int(v) for v in row] for row in rows]
+        sparse = trial % 4 >= 2
+        got = _check_against_reference(
+            [{c: v for c, v in enumerate(row) if v or not sparse}
+             for row in rows])
+        assert sum(got) == _rank_oracle(rows) if rows else not got
+        deficient += sum(got) < len(rows)
+    assert deficient > 40
+
+
+@pytest.mark.parametrize("t,r,lam,mu", [
+    # the betti-G2 and kernel-A3 levels of tests/test_golden.py
+    ("G", 2, (1, 1), (Q(-82, 63), Q(286, 357))),
+    ("A", 3, (2, 1, 3), (Q(1551, 1559), Q(405, 1559), Q(-1728, 1559))),
+])
+def test_incremental_rank_matches_reference_on_golden_slices(
+        session, monkeypatch, t, r, lam, mu):
+    # every ideal slice the Betti count eliminates at the level, row by row
+    offered = []
+
+    class Recording(IncrementalRank):
+        def __init__(self):
+            super().__init__()
+            self.rows, self.got = [], []
+            offered.append(self)
+
+        def add_row(self, values):
+            self.rows.append(values)
+            self.got.append(super().add_row(values))
+            return self.got[-1]
+
+    monkeypatch.setattr(K, "IncrementalRank", Recording)
+    ctx = session(t, r)
+    orbit = K.orbit_parameter(ctx.group, ctx.rs, lam)
+    K.quotient_betti(ctx.group, ctx.rs, ctx.calc, orbit,
+                     K.mu_from_weight_coords(ctx.rs, mu))
+    top = ctx.group.elements[ctx.group.w0].length
+    assert len(offered) == top - r + 3
+    for acc in offered:
+        assert _check_against_reference(acc.rows) == acc.got
 
 
 def test_json_roundtrip():

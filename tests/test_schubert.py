@@ -319,6 +319,25 @@ def test_class_validation():
         c.scale_poly(Polynomial.one(2) + lf((0, 1)))
 
 
+@pytest.mark.parametrize("t,r", [("A", 2), ("B", 2), ("G", 2)])
+def test_twists_and_products_pass_the_public_checks(session, t, r):
+    # twists and products skip the homogeneity checks: each is the class
+    # the validating constructor builds from its restrictions, and that
+    # constructor still refuses them one degree off
+    ctx = session(t, r)
+    calc, g = ctx.calc, ctx.group
+    derived = [calc.twisted_class(tau, v)
+               for tau in range(g.order) for v in range(0, g.order, 3)]
+    derived += [a * b for a, b in zip(derived, derived[1:])]
+    for c in derived:
+        assert c == EquivariantClass(c.nvars, c.half_degree, c.restrictions)
+        assert all(p.is_homogeneous() and p.degree == c.half_degree
+                   for p in c.restrictions.values())
+        if c.restrictions:
+            with pytest.raises(InhomogeneousInput):
+                EquivariantClass(c.nvars, c.half_degree + 1, c.restrictions)
+
+
 @pytest.mark.parametrize("type_label,rank", [("A", 2)])
 def test_basis_freeness_per_degree(session, type_label, rank):
     # restriction vectors of {x_w * monomial} are independent slice by slice
