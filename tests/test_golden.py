@@ -129,6 +129,61 @@ GOLDEN = [
      "check --type A --rank 3 --lambda 1,1,1 --mu=0,0,0",
      EMPTY,
      "4c323e77a693d4cbd3a55af8f9a0601f26e1931a4cf5e2ff05f02f3a0598c657", 2),
+    # the root-system and Weyl-group reports
+    ("roots-A1", "roots --type A --rank 1",
+     "8bd5abf1fd36beb63ea83ac2b274cb1621140c03509825ed0e03160d2c5b6a38",
+     EMPTY, 0),
+    ("roots-A2", "roots --type A --rank 2",
+     "9b17767f76c337c0f2ef2a6cca343aa5fc9e7554d22ff9ddb46b6cb20990e26e",
+     EMPTY, 0),
+    ("roots-B2", "roots --type B --rank 2",
+     "bde826848b6209f04a49cb8b1e1dc5f528219d9b66e0fc5340d053896733c9e3",
+     EMPTY, 0),
+    ("roots-G2", "roots --type G --rank 2",
+     "2dd1e133716f6b91a13aac508dc357d75efd8e426a502596b5ad2c95c1b3284a",
+     EMPTY, 0),
+    ("roots-A3", "roots --type A --rank 3",
+     "c43f1d975bd7cfa3f123885eddb55cf56bbfc00e4f9c42638f0b03f3d930d1ea",
+     EMPTY, 0),
+    ("roots-B3", "roots --type B --rank 3",
+     "1a855990a5cc66ec4569c66176288f13e3d4f55ca89650b4987f317eb893e81a",
+     EMPTY, 0),
+    ("roots-C3", "roots --type C --rank 3",
+     "704b6bc2e217e6cba215ecc9194988ac128480758a026ed6f0676805694f280d",
+     EMPTY, 0),
+    ("roots-D4", "roots --type D --rank 4",
+     "12cf9a25448e416dd074c9a524e9185cd2bf782d7d1dc1f9707355126113e82a",
+     EMPTY, 0),
+    ("roots-A4", "roots --type A --rank 4",
+     "aaba9f40a011f5da97e0fedebcffd27e65418715181e6b5bc9c246693387d66f",
+     EMPTY, 0),
+    ("weyl-A1", "weyl --type A --rank 1",
+     "dae0e346f2e9a246df4ca3c41f4ba264fe5f8bee6e85df4190c8908760092872",
+     EMPTY, 0),
+    ("weyl-A2", "weyl --type A --rank 2",
+     "bf78a572774e153bc97d3cb5b0d684ced54b21fb1b277b776493dfb34e5b8f49",
+     EMPTY, 0),
+    ("weyl-B2", "weyl --type B --rank 2",
+     "5a2d4c7f9f2fd609096e3ca9112d78d57fbc38b818e5c139eaeab4a3d5bfb15c",
+     EMPTY, 0),
+    ("weyl-G2", "weyl --type G --rank 2",
+     "215bd6a550c2edffe17512a75d89a1623a543121224904503edabe7637ac800b",
+     EMPTY, 0),
+    ("weyl-A3", "weyl --type A --rank 3",
+     "d6cb7f63e5fc16a134b8f5ed440273b9d18161dfcd2ecd2e0b091cfd3b4a5c90",
+     EMPTY, 0),
+    ("weyl-B3", "weyl --type B --rank 3",
+     "d4558af824627c69fbfa97d3891a9c62768f049720cadd7fa5d5a58e64f7abab",
+     EMPTY, 0),
+    ("weyl-C3", "weyl --type C --rank 3",
+     "43402ac379a0a91d4a21e6eb3edf4a429a51764f65353d61575f6826ce5d66e4",
+     EMPTY, 0),
+    ("weyl-D4", "weyl --type D --rank 4",
+     "b1fe9298b71332435f68d8bf880cc821f5609fcdf234d55e7658c1e90010e546",
+     EMPTY, 0),
+    ("weyl-A4", "weyl --type A --rank 4",
+     "968ed4bef7f4ed70504a751d21561c018802bb90e9e5e6f2c64e626c6004a7b3",
+     EMPTY, 0),
 ]
 
 
