@@ -13,10 +13,10 @@ from .errors import (CacheCorrupt, ConfigError, DegreeOverflow,
                      LocalizationNotPolynomial, MuNotRegularValue,
                      NonExactDivision, RankLimitExceeded, WeightvarError)
 from .kirwan import (GradedDims, KernelGeneratorSpec, OrbitParameter,
-                     RegularLevel, facet_normals, height,
-                     ideal_graded_dims, is_regular, kernel_generators,
-                     moment_vertices, mu_from_weight_coords, orbit_parameter,
-                     quotient_betti, regular_level, tw_oracle_generators)
+                     RegularLevel, facet_normals, ideal_graded_dims,
+                     is_regular, kernel_generators, mu_from_weight_coords,
+                     orbit_parameter, quotient_betti, regular_level,
+                     tw_oracle_generators)
 from .poly import Polynomial, divide_exact, monomial_basis
 from .rootsys import DEFAULT_MAX_RANK, RootSystem, TVector, build_root_system
 from .schubert import (EquivariantClass, SchubertCalculus,
@@ -31,7 +31,7 @@ __all__ = [
     "Polynomial", "divide_exact", "monomial_basis",
     "SchubertCalculus", "EquivariantClass", "SchubertCoefficients", "support",
     "OrbitParameter", "RegularLevel", "KernelGeneratorSpec", "GradedDims",
-    "orbit_parameter", "mu_from_weight_coords", "moment_vertices", "height",
+    "orbit_parameter", "mu_from_weight_coords",
     "regular_level", "is_regular", "kernel_generators", "tw_oracle_generators",
     "ideal_graded_dims", "quotient_betti", "facet_normals",
     "WeightvarError", "ConfigError", "InvalidRank", "RankLimitExceeded",

@@ -102,16 +102,6 @@ def mu_from_weight_coords(rs: RootSystem, coords) -> TVector:
     return mu
 
 
-def moment_vertices(g: WeylGroup, orbit: OrbitParameter) -> dict[int, TVector]:
-    """Images of the fixed points: the orbit polytope's vertex candidates."""
-    return {v: orbit.images[v] for v in range(g.order)}
-
-
-def height(rs: RootSystem, xi: TVector, p: TVector) -> Q:
-    """Height function <xi, p> whose level sets slice the polytope."""
-    return rs.inner(xi, p)
-
-
 # -- regularity ---------------------------------------------------------------
 
 

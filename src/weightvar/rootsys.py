@@ -1,9 +1,12 @@
-"""Finite root systems of types A-G over exact rationals.
+"""Finite root systems of types A-G, exact throughout.
 
 Every vector lives in the simple-root basis: a TVector is a tuple of
-Fractions of length `rank`, and the i-th simple root is the i-th unit
-vector. Roots then have integer coordinates, which keeps the subword
-products downstream exact and compact.
+length `rank` of ints or Fractions, and the i-th simple root is the i-th
+unit vector. Roots have integer coordinates and are held as int tuples,
+which keeps the reflections, the Weyl action and the subword products
+downstream in integer arithmetic. Fundamental weights, orbit points and
+levels are Fraction tuples, and the Gram matrix is rational; the
+reflections and the Cartan pairing keep a Fraction input a Fraction.
 
 The invariant inner product is G = D * C (Cartan matrix times a positive
 diagonal), normalized so long roots have squared norm 2. Downstream
@@ -18,7 +21,7 @@ from fractions import Fraction as Q
 
 from .errors import DimensionMismatch, InvalidRank, RankLimitExceeded
 
-TVector = tuple[Q, ...]
+TVector = tuple[int | Q, ...]
 
 DEFAULT_MAX_RANK = 5
 
@@ -42,7 +45,7 @@ def vsub(x: TVector, y: TVector) -> TVector:
     return tuple(a - b for a, b in zip(x, y))
 
 
-def vscale(c: Q, x: TVector) -> TVector:
+def vscale(c: int | Q, x: TVector) -> TVector:
     return tuple(c * a for a in x)
 
 
@@ -176,18 +179,16 @@ class RootSystem:
         """Coefficients (r_1..r_l) with x = sum r_j lambda_j; all r_j >= 0
         iff x lies in the closed fundamental chamber. Equals cartan @ x."""
         self._check_dim(x)
-        return tuple(sum((Q(c) * xj for c, xj in zip(row, x)), Q(0))
+        return tuple(sum(c * xj for c, xj in zip(row, x))
                      for row in self.cartan)
 
     def simple_root(self, i: int) -> TVector:
-        return tuple(Q(1) if j == i else Q(0) for j in range(self.rank))
+        return tuple(int(j == i) for j in range(self.rank))
 
     def reflect(self, i: int, x: TVector) -> TVector:
         """Simple reflection s_i(x) = x - <x, a_i^v> a_i."""
         self._check_dim(x)
-        coeff = sum((Q(c) * xj for c, xj in zip(self.cartan[i], x)), Q(0))
-        return tuple(xj - coeff * (Q(1) if k == i else Q(0))
-                     for k, xj in enumerate(x))
+        return _reflect(self.cartan, i, x)
 
     def is_positive_root(self, x: TVector) -> bool:
         return x in self._positive_set()
@@ -222,21 +223,23 @@ class RootSystem:
         }
 
 
-def _generate_roots(rs_cartan: list[list[int]], rank: int) -> list[TVector]:
-    """All roots: closure of the simple roots under simple reflections."""
-    simple = [tuple(Q(1) if j == i else Q(0) for j in range(rank))
-              for i in range(rank)]
+def _reflect(cartan, i: int, x: TVector) -> TVector:
+    """s_i(x) = x - <x, a_i^v> a_i, with <x, a_i^v> row i of the Cartan
+    matrix applied to x; ints stay ints and Fractions stay Fractions."""
+    coeff = sum(c * xj for c, xj in zip(cartan[i], x))
+    return x[:i] + (x[i] - coeff,) + x[i + 1:]
 
-    def reflect(i: int, x: TVector) -> TVector:
-        coeff = sum((Q(c) * xj for c, xj in zip(rs_cartan[i], x)), Q(0))
-        return tuple(xj - (coeff if k == i else 0) for k, xj in enumerate(x))
 
+def _generate_roots(cartan: list[list[int]], rank: int) -> list[TVector]:
+    """All roots, as int tuples: the closure of the simple roots under
+    simple reflections."""
+    simple = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
     seen: set[TVector] = set(simple)
     frontier = list(simple)
     while frontier:
         x = frontier.pop()
         for i in range(rank):
-            y = reflect(i, x)
+            y = _reflect(cartan, i, x)
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
@@ -272,10 +275,6 @@ def build_root_system(type_label: str, rank: int,
         raise AssertionError(
             f"root generation for {type_label}{rank} produced "
             f"{len(positive)} positive roots, expected {expected}")
-    for r in positive:
-        if not all(c.denominator == 1 and c >= 0 for c in r):
-            raise AssertionError(f"positive root {r} is not a nonnegative "
-                                 "integer combination of simple roots")
 
     rs = RootSystem(
         type_label=type_label,

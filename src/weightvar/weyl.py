@@ -1,12 +1,19 @@
 """Weyl group generation: elements, words, products, Bruhat order.
 
-Elements are discovered by breadth-first closure of the simple reflections
-acting as permutations of the full root list, so lengths fall out of the
-BFS depth and the action is a root permutation by construction. Each
-element gets one canonical reduced word (the lexicographically smallest,
-built by repeatedly stripping the smallest left descent) and the final
-element order is (length, word), which makes every downstream table and
-output deterministic.
+Elements are discovered by one breadth-first pass of right
+multiplications by the simple reflections, acting as permutations of the
+full root list, so lengths fall out of the BFS depth and the action is a
+root permutation by construction. Each element is numbered when first
+found, and that number is final: the element order is (length, canonical
+word), the canonical word being the lexicographically smallest reduced
+word, which makes every downstream table and output deterministic.
+
+Why the first discovery gives that word: every reduced word of x ends in
+a right descent i, so lexmin(x) = min over those i of (lexmin(x s_i), i).
+A level is walked in element order with the letters ascending, so, if the
+level is sorted by canonical word, the first pair (a, i) that reaches x
+is that minimum and x's word is word(a) + (i,). The next level then comes
+out sorted by word as well, and the induction runs from the identity.
 
 The Bruhat table is the subword-property closure computed incrementally:
 the set {v : v <= w} is the set of products of reduced subwords of w's
@@ -18,7 +25,6 @@ brute-force subword checks over all reduced words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
 from .errors import DimensionMismatch
 from .rootsys import RootSystem, TVector, vscale
@@ -44,13 +50,13 @@ def _fact(n: int) -> int:
 @dataclass(frozen=True)
 class WeylElement:
     """One group element: dense id, canonical reduced word (0-indexed
-    letters), length, and the action matrix on t* in simple-root
+    letters), length, and the integer action matrix on t* in simple-root
     coordinates (column j = image of the j-th simple root)."""
 
     id: int
     word: tuple[int, ...]
     length: int
-    action: tuple[tuple[Q, ...], ...]
+    action: tuple[tuple[int, ...], ...]
 
 
 class WeylGroup:
@@ -59,40 +65,42 @@ class WeylGroup:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.roots: list[TVector] = list(rs.positive_roots) + [
-            vscale(Q(-1), r) for r in rs.positive_roots]
+            vscale(-1, r) for r in rs.positive_roots]
         self._root_index = {r: k for k, r in enumerate(self.roots)}
         self._generate()
         self._build_bruhat()
 
     # -- generation -------------------------------------------------------
 
-    def _simple_perm(self, i: int) -> tuple[int, ...]:
-        return tuple(self._root_index[self.rs.reflect(i, r)]
-                     for r in self.roots)
-
     def _generate(self) -> None:
+        """One BFS, level by level, numbering each element in its final
+        (length, word) order when first found (see the module docstring)
+        and filling the right-multiplication table as it goes."""
         rs = self.rs
         l = rs.rank
-        nroots = len(self.roots)
-        gen_perms = [self._simple_perm(i) for i in range(l)]
-        identity = tuple(range(nroots))
-
+        gen_perms = [tuple(self._root_index[rs.reflect(i, r)]
+                           for r in self.roots) for i in range(l)]
+        identity = tuple(range(len(self.roots)))
         perms: list[tuple[int, ...]] = [identity]
-        index: dict[tuple[int, ...], int] = {identity: 0}
-        depth = [0]
-        frontier = [0]
-        while frontier:
+        words: list[tuple[int, ...]] = [()]
+        index = {identity: 0}
+        right: list[list[int]] = [[0] * l]
+        level = [0]
+        while level:
             nxt = []
-            for a in frontier:
-                pa = perms[a]
-                for gp in gen_perms:
-                    q = tuple(pa[gp[k]] for k in range(nroots))  # a * s_i
-                    if q not in index:
-                        index[q] = len(perms)
+            for a in level:
+                pa, row = perms[a], right[a]
+                for i, gp in enumerate(gen_perms):
+                    q = tuple([pa[k] for k in gp])  # a * s_i
+                    b = index.get(q)
+                    if b is None:
+                        b = index[q] = len(perms)
                         perms.append(q)
-                        depth.append(depth[a] + 1)
-                        nxt.append(index[q])
-            frontier = nxt
+                        words.append(words[a] + (i,))
+                        right.append([0] * l)
+                        nxt.append(b)
+                    row[i] = b
+            level = nxt
         n = len(perms)
 
         order_fn = _CLASSICAL_ORDER.get(rs.type_label)
@@ -101,54 +109,22 @@ class WeylGroup:
                 f"generated {n} elements for {rs.type_label}{rs.rank}, "
                 f"expected {order_fn(rs.rank)}")
 
-        # canonical word: strip the smallest left descent until identity
-        def left_mult(i: int, a: int) -> int:
-            pa = perms[a]
-            gp = gen_perms[i]
-            return index[tuple(gp[pa[k]] for k in range(nroots))]
-
-        words = []
-        for a in range(n):
-            word, cur = [], a
-            while depth[cur] > 0:
-                for i in range(l):
-                    cand = left_mult(i, cur)
-                    if depth[cand] < depth[cur]:
-                        word.append(i)
-                        cur = cand
-                        break
-            words.append(tuple(word))
-
-        order = sorted(range(n), key=lambda a: (depth[a], words[a]))
-        old_to_new = [0] * n
-        for new, old in enumerate(order):
-            old_to_new[old] = new
-
         simple_idx = [self._root_index[rs.simple_root(j)] for j in range(l)]
         self.elements: list[WeylElement] = []
-        self._perms: list[tuple[int, ...]] = []
-        for new, old in enumerate(order):
-            p = perms[old]
-            action = tuple(tuple(self.roots[p[simple_idx[c]]][r]
-                                 for c in range(l)) for r in range(l))
-            self.elements.append(WeylElement(new, words[old], depth[old], action))
-            self._perms.append(p)
-        self._perm_to_id = {p: k for k, p in enumerate(self._perms)}
-
-        self._right = [
-            [old_to_new[index[tuple(p[gp[k]] for k in range(nroots))]]
-             for gp in gen_perms]
-            for p in self._perms]
-        self._left = [
-            [old_to_new[index[tuple(gp[p[k]] for k in range(nroots))]]
-             for gp in gen_perms]
-            for p in self._perms]
+        for a, (p, w) in enumerate(zip(perms, words)):
+            columns = [self.roots[p[k]] for k in simple_idx]
+            self.elements.append(WeylElement(a, w, len(w),
+                                             tuple(zip(*columns))))
+        self._perms = perms
+        self._lengths = [len(w) for w in words]
+        self._right = right
+        # the reversed word is a reduced word of the inverse
         self._inverse = [0] * n
-        for a, p in enumerate(self._perms):
-            inv = [0] * nroots
-            for k, pk in enumerate(p):
-                inv[pk] = k
-            self._inverse[a] = self._perm_to_id[tuple(inv)]
+        for a, w in enumerate(words):
+            b = 0
+            for i in reversed(w):
+                b = right[b][i]
+            self._inverse[a] = b
 
         npos = len(rs.positive_roots)
         if self.elements[-1].length != npos or self.elements[-2].length == npos:
@@ -162,10 +138,9 @@ class WeylGroup:
         for a in range(n):
             row = mult[a]
             row[0] = a
-            right = self._right
             for b in range(1, n):
-                wb = self.elements[b].word
-                row[b] = right[row[self._right[b][wb[-1]]]][wb[-1]]
+                s = words[b][-1]
+                row[b] = right[row[right[b][s]]][s]
         self._mult = mult
 
     # -- Bruhat order ------------------------------------------------------
@@ -198,14 +173,6 @@ class WeylGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def _lengths(self) -> list[int]:
-        cached = getattr(self, "_len_cache", None)
-        if cached is None:
-            cached = [el.length for el in self.elements]
-            self._len_cache = cached
-        return cached
-
     def multiply(self, a: int, b: int) -> int:
         return self._mult[a][b]
 
@@ -231,9 +198,8 @@ class WeylGroup:
         if len(x) != self.rs.rank:
             raise DimensionMismatch(
                 f"vector has {len(x)} coordinates, rank is {self.rs.rank}")
-        mat = self.elements[w].action
-        return tuple(sum((m * xj for m, xj in zip(row, x)), Q(0))
-                     for row in mat)
+        return tuple(sum(m * xj for m, xj in zip(row, x))
+                     for row in self.elements[w].action)
 
     def reflection_element(self, alpha: TVector) -> int:
         """Group element of the reflection in a root alpha: v s_i v^-1 for
@@ -266,7 +232,7 @@ class WeylGroup:
                 got = []
                 lu = self.elements[u].length
                 for i in range(self.rs.rank):
-                    su = self._left[u][i]
+                    su = self._inverse[self._right[self._inverse[u]][i]]
                     if self.elements[su].length < lu:
                         got.extend((i,) + t for t in rec(su))
                 memo[u] = got

@@ -40,26 +40,15 @@ A3_NEARBY = (Q(1, 5) + Q(1, 101), Q(1, 7), Q(1, 11))
 def test_orbit_parameter(session):
     rs, g, calc, orbit = mk(session, "A", 1, [1])
     assert orbit.lam == (Q(-1, 2),)
-    verts = K.moment_vertices(g, orbit)
-    assert verts == {0: (Q(-1, 2),), 1: (Q(1, 2),)}
+    assert orbit.images == ((Q(-1, 2),), (Q(1, 2),))
     with pytest.raises(ConfigError):
         K.orbit_parameter(g, rs, [0])
     with pytest.raises(ConfigError):
         K.orbit_parameter(g, rs, [-1])
 
     rs2, g2, _, orbit2 = mk(session, "A", 2, [1, 1])
-    verts2 = K.moment_vertices(g2, orbit2)
-    assert len(set(verts2.values())) == 6
-    assert verts2[0] == orbit2.lam
-
-
-def test_height(session):
-    rs, g, calc, orbit = mk(session, "A", 1, [1])
-    l1 = rs.fundamental_weights[0]
-    assert K.height(rs, l1, vscale(Q(-1), l1)) == Q(-1, 2)
-    assert K.height(rs, (Q(0),), orbit.lam) == 0
-    assert K.height(rs, vscale(Q(3), l1), orbit.lam) == \
-        3 * K.height(rs, l1, orbit.lam)
+    assert len(orbit2.images) == len(set(orbit2.images)) == 6
+    assert orbit2.images[0] == orbit2.lam
 
 
 def test_is_regular_a1(session):

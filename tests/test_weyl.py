@@ -19,6 +19,10 @@ def test_group_orders(session, type_label, rank, order):
     g = session(type_label, rank).group
     assert g.order == order
     assert g.elements[g.w0].length == len(g.rs.positive_roots)
+    # integer roots and integer action matrices
+    assert all(type(c) is int for r in g.rs.positive_roots for c in r)
+    assert all(type(c) is int for e in g.elements for row in e.action
+               for c in row)
 
 
 def test_a1_group(session):
@@ -36,7 +40,8 @@ def test_a2_length_profile(session):
 
 
 def test_element_order_is_length_then_lex(session):
-    for t, r in [("A", 2), ("B", 2), ("A", 3)]:
+    for t, r in [("A", 2), ("B", 2), ("A", 3), ("G", 2), ("B", 3), ("C", 3),
+                 ("D", 4), ("A", 4)]:
         g = session(t, r).group
         keys = [(e.length, e.word) for e in g.elements]
         assert keys == sorted(keys)
@@ -162,7 +167,7 @@ def test_reduced_words(session):
     assert w0_words[0] == g2.elements[g2.w0].word
     gb = session("B", 2).group
     assert len(gb.reduced_words(gb.w0)) == 2
-    for t, r in [("A", 2), ("B", 2)]:
+    for t, r in [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)]:
         g = session(t, r).group
         for w in range(g.order):
             words = g.reduced_words(w)
