@@ -51,6 +51,17 @@ def test_orbit_parameter(session):
     assert orbit2.images[0] == orbit2.lam
 
 
+def test_height(session):
+    # heights <xi, p> are the Gram pairing; the A1 orbit point is -lambda_1
+    rs, g, calc, orbit = mk(session, "A", 1, [1])
+    l1 = rs.fundamental_weights[0]
+    assert orbit.lam == vscale(Q(-1), l1)
+    assert rs.inner(l1, orbit.lam) == Q(-1, 2)
+    assert rs.inner((Q(0),), orbit.lam) == 0
+    assert rs.inner(vscale(Q(3), l1), orbit.lam) == \
+        3 * rs.inner(l1, orbit.lam)
+
+
 def test_is_regular_a1(session):
     rs, g, calc, orbit = mk(session, "A", 1, [1])
     assert K.is_regular(g, rs, orbit, mu_of(rs, [0]))[0]

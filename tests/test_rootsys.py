@@ -4,7 +4,7 @@ import pytest
 
 from weightvar.errors import (DimensionMismatch, InvalidRank,
                               RankLimitExceeded)
-from weightvar.rootsys import build_root_system, vscale
+from weightvar.rootsys import build_root_system
 
 
 def a(rs, i):
@@ -17,12 +17,6 @@ def test_a1_forced_values():
     assert rs.positive_roots[0] == (Q(1),)
     assert rs.fundamental_weights[0] == (Q(1, 2),)
     assert rs.inner(a(rs, 0), a(rs, 0)) == 2
-    # heights <xi, p>: the orbit point of coefficient 1 is -lambda_1
-    l1 = rs.fundamental_weights[0]
-    lam = vscale(-1, l1)
-    assert rs.inner(l1, lam) == Q(-1, 2)
-    assert rs.inner((Q(0),), lam) == 0
-    assert rs.inner(vscale(3, l1), lam) == 3 * rs.inner(l1, lam)
 
 
 def test_a2_weights_and_pairings():
