@@ -129,6 +129,28 @@ GOLDEN = [
      "check --type A --rank 3 --lambda 1,1,1 --mu=0,0,0",
      EMPTY,
      "4c323e77a693d4cbd3a55af8f9a0601f26e1931a4cf5e2ff05f02f3a0598c657", 2),
+    # a point of the segment from v id 1, named by the first (v, alpha) in
+    # v-ascending, positive-root order whose segment holds it: v id 0
+    ("refusal-kernel-G2-segment",
+     "kernel --type G --rank 2 --lambda 1,1 --mu=1,-1",
+     EMPTY,
+     "fc57a156ad9608305ea60d5027f02ef54e5d5bd175f936784470f3ab13326e88", 2),
+    ("refusal-kernel-A2-segment",
+     "kernel --type A --rank 2 --lambda 2,1 --mu=1,-1",
+     EMPTY,
+     "ff802249cb72b60ac9b2d3dfad345305d18e922224ead0b2a79879f523ab6dc5", 2),
+    ("refusal-kernel-C3-segment",
+     "kernel --type C --rank 3 --lambda 1,2,1 --mu=-5/3,-1/3,-1",
+     EMPTY,
+     "dd3faba2b4e0d803c0726bc201dce033e2c20e4bb5cb3e3382117af4832d0479", 2),
+    ("refusal-betti-C3-wall-coincidence",
+     "betti --type C --rank 3 --lambda 1,2,1 --mu=0,0,0",
+     EMPTY,
+     "2d4fd6b9cee9e8e5465851b4ac9a46e7f8234bc70970500cff3a9bcc25b9bfb7", 2),
+    ("check-A3-level",
+     "check --type A --rank 3 --lambda 1,2,1 --mu=1/5,1/7,1/11",
+     "b175fc02e51abcd1e062e9213fc2f0b0fe66b4ba103220059abb3a157f60032f",
+     EMPTY, 0),
     # the root-system and Weyl-group reports
     ("roots-A1", "roots --type A --rank 1",
      "8bd5abf1fd36beb63ea83ac2b274cb1621140c03509825ed0e03160d2c5b6a38",
