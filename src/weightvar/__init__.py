@@ -13,14 +13,13 @@ from .errors import (CacheCorrupt, ConfigError, DegreeOverflow,
                      LocalizationNotPolynomial, MuNotRegularValue,
                      NonExactDivision, RankLimitExceeded, WeightvarError)
 from .kirwan import (GradedDims, KernelGeneratorSpec, OrbitParameter,
-                     RegularLevel, facet_normals, ideal_graded_dims,
-                     is_regular, kernel_generators, mu_from_weight_coords,
+                     RegularLevel, ideal_graded_dims, is_regular,
+                     kernel_generators, mu_from_weight_coords,
                      orbit_parameter, quotient_betti, regular_level,
                      tw_oracle_generators)
-from .poly import Polynomial, divide_exact, monomial_basis
+from .poly import Polynomial, monomial_basis
 from .rootsys import DEFAULT_MAX_RANK, RootSystem, TVector, build_root_system
-from .schubert import (EquivariantClass, SchubertCalculus,
-                       SchubertCoefficients, support)
+from .schubert import EquivariantClass, SchubertCalculus, SchubertCoefficients
 from .weyl import WeylElement, WeylGroup, generate_weyl
 
 __version__ = "0.1.0"
@@ -28,12 +27,12 @@ __version__ = "0.1.0"
 __all__ = [
     "build_root_system", "RootSystem", "TVector", "DEFAULT_MAX_RANK",
     "generate_weyl", "WeylGroup", "WeylElement",
-    "Polynomial", "divide_exact", "monomial_basis",
-    "SchubertCalculus", "EquivariantClass", "SchubertCoefficients", "support",
+    "Polynomial", "monomial_basis",
+    "SchubertCalculus", "EquivariantClass", "SchubertCoefficients",
     "OrbitParameter", "RegularLevel", "KernelGeneratorSpec", "GradedDims",
     "orbit_parameter", "mu_from_weight_coords",
     "regular_level", "is_regular", "kernel_generators", "tw_oracle_generators",
-    "ideal_graded_dims", "quotient_betti", "facet_normals",
+    "ideal_graded_dims", "quotient_betti",
     "WeightvarError", "ConfigError", "InvalidRank", "RankLimitExceeded",
     "DimensionMismatch", "DegreeOverflow", "MuNotRegularValue",
     "NonExactDivision", "InhomogeneousInput", "LocalizationNotPolynomial",

@@ -62,36 +62,37 @@ def _build_parser() -> _Parser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, orbit: bool):
-        sp.add_argument("--type", required=True, dest="type_label",
+    # options every subcommand takes, declared once; a subparser copies a
+    # parent's actions in order, ahead of its own
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--type", required=True, dest="type_label",
                         help="root system type, one of A B C D E F G")
-        sp.add_argument("--rank", required=True, type=int)
-        sp.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK,
+    shared.add_argument("--rank", required=True, type=int)
+    shared.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK,
                         help="enumeration guard (default 5)")
-        sp.add_argument("--format", choices=_TABLE_FORMATS, default="json")
-        sp.add_argument("--cache-dir", type=Path, default=None,
+    shared.add_argument("--format", choices=_TABLE_FORMATS, default="json")
+    shared.add_argument("--cache-dir", type=Path, default=None,
                         help=f"cache directory (env WEIGHTVAR_CACHE overrides "
                              f"the default)")
-        sp.add_argument("--threads", type=int, default=1)  # no effect
-        if orbit:
-            sp.add_argument("--lambda", required=True, dest="lam",
-                            help="positive orbit coefficients c1,...,cl")
-            sp.add_argument("--mu", required=True,
-                            help="level in fundamental-weight coordinates")
+    shared.add_argument("--threads", type=int, default=1)  # no effect
+    level = argparse.ArgumentParser(add_help=False, parents=[shared])
+    level.add_argument("--lambda", required=True, dest="lam",
+                       help="positive orbit coefficients c1,...,cl")
+    level.add_argument("--mu", required=True,
+                       help="level in fundamental-weight coordinates")
 
-    common(sub.add_parser("roots", help="root-system report"), orbit=False)
-    common(sub.add_parser("weyl", help="Weyl group / Bruhat report"), orbit=False)
-    common(sub.add_parser("restrict", help="full restriction table"), orbit=False)
-    sp = sub.add_parser("kernel", help="kernel-generator list")
-    common(sp, orbit=True)
-    sp = sub.add_parser("betti", help="graded Betti numbers of the reduction")
-    common(sp, orbit=True)
+    sub.add_parser("roots", help="root-system report", parents=[shared])
+    sub.add_parser("weyl", help="Weyl group / Bruhat report", parents=[shared])
+    sub.add_parser("restrict", help="full restriction table", parents=[shared])
+    sub.add_parser("kernel", help="kernel-generator list", parents=[level])
+    sp = sub.add_parser("betti", help="graded Betti numbers of the reduction",
+                        parents=[level])
     sp.add_argument("--dmax", type=int, default=None)
-    sp = sub.add_parser("oracle-compare",
-                        help="theorem vs feasibility-oracle generator sets")
-    common(sp, orbit=True)
-    sp = sub.add_parser("check", help="run the property suite")
-    common(sp, orbit=False)
+    sub.add_parser("oracle-compare",
+                   help="theorem vs feasibility-oracle generator sets",
+                   parents=[level])
+    sp = sub.add_parser("check", help="run the property suite",
+                        parents=[shared])
     sp.add_argument("--lambda", dest="lam", default=None)
     sp.add_argument("--mu", default=None)
     sp.add_argument("--seed", type=int, default=0)
@@ -393,14 +394,14 @@ def run_checks(cfg: JobConfig) -> dict:
         ok = True
         for tau in range(g.order):
             ti = g.inverse(tau)
-            for j, lam_j in enumerate(rs.fundamental_weights):
+            for lam_j in rs.fundamental_weights:
                 xi = g.act(tau, lam_j)
+                h = [rs.inner(xi, p) for p in orbit.images]
                 for v in range(g.order):
                     for w in range(g.order):
-                        if g.bruhat_leq(g.multiply(ti, v), g.multiply(ti, w)):
-                            if (rs.inner(xi, orbit.images[v])
-                                    > rs.inner(xi, orbit.images[w])):
-                                ok = False
+                        if h[v] > h[w] and g.bruhat_leq(g.multiply(ti, v),
+                                                        g.multiply(ti, w)):
+                            ok = False
         record("height_monotonicity", ok)
 
         specs = kirwan.kernel_generators(g, rs, calc, orbit, level)

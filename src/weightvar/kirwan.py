@@ -17,8 +17,13 @@ Two independent enumerations of the kernel generators exist on purpose:
   Fourier-Motzkin elimination.
 
 Both enumerate at a level certified by regular_level, the one
-regularity test. They must select the same classes; the acceptance suite
-compares the graded dimensions of the two ideals.
+regularity test, and read only the height table it certifies: the
+heights <lambda_j, u lambda> of the fixed points and <lambda_j, t mu> of
+the level's W-translates, both times one positive integer D that makes
+every entry an int. Scaling by one positive factor keeps every
+comparison, tie, maximum and margin sign, and each margin row's
+half-space in the oracle. They must select the same classes; the
+acceptance suite compares the graded dimensions of the two ideals.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from math import gcd, lcm
 from .errors import (ConfigError, DegreeOverflow,
                      InternalConsistencyError, MuNotRegularValue)
 from .poly import IncrementalRank, monomial_basis
-from .rootsys import RootSystem, TVector, vadd, vscale, vsub, vzero
+from .rootsys import RootSystem, TVector, vadd, vscale, vzero
 from .schubert import EquivariantClass, SchubertCalculus
 from .weyl import WeylGroup
 
@@ -48,14 +53,17 @@ class OrbitParameter:
 @dataclass(frozen=True)
 class RegularLevel:
     """A level `mu` that `regular_level` certified regular for `orbit`, with
-    the height tables the test read: pre[j][u] = <lambda_j, u lambda> and
-    lvl[j][t] = <lambda_j, t mu>. The generator enumerations at that orbit
-    read their heights from here and do not test the level again."""
+    the int height tables the test read: pre[j][u] = D <lambda_j, u lambda>
+    and lvl[j][t] = D <lambda_j, t mu>, where D > 0 is the lcm of every
+    denominator of the unscaled heights in both tables. One positive factor
+    for both keeps every comparison between them. The generator
+    enumerations at that orbit read their heights from here and do not test
+    the level again."""
 
     mu: TVector
     orbit: OrbitParameter
-    pre: tuple[tuple[Q, ...], ...]
-    lvl: tuple[tuple[Q, ...], ...]
+    pre: tuple[tuple[int, ...], ...]
+    lvl: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -105,56 +113,22 @@ def mu_from_weight_coords(rs: RootSystem, coords) -> TVector:
 # -- regularity ---------------------------------------------------------------
 
 
-def chamber_directions(g: WeylGroup, rs: RootSystem) -> list[TVector]:
-    """Deduplicated Weyl translates of the fundamental weights; these are
-    the outward facet directions of the orbit polytope."""
-    seen: dict[TVector, None] = {}
-    for t in range(g.order):
-        for w in rs.fundamental_weights:
-            seen.setdefault(g.act(t, w))
-    return list(seen)
-
-
-def gkm_segments(g: WeylGroup, rs: RootSystem,
-                 orbit: OrbitParameter) -> list[tuple[TVector, TVector, int, TVector]]:
-    """Critical segments [v lambda, v s_a lambda], deduplicated, with the
-    (v, alpha) naming used in diagnostics."""
-    out = []
-    seen: set[frozenset[TVector]] = set()
-    reflections = [(alpha, g.reflection_element(alpha))
-                   for alpha in rs.positive_roots]
-    for v in range(g.order):
-        for alpha, refl in reflections:
-            w = g.multiply(v, refl)
-            a, b = orbit.images[v], orbit.images[w]
-            key = frozenset((a, b))
-            if key not in seen:
-                seen.add(key)
-                out.append((a, b, v, alpha))
-    return out
-
-
-def _on_segment(mu: TVector, a: TVector, b: TVector) -> bool:
-    d = vsub(b, a)
-    m = vsub(mu, a)
-    k = next((i for i, x in enumerate(d) if x != 0), None)
-    if k is None:
-        return mu == a
-    t = m[k] / d[k]
-    return Q(0) <= t <= Q(1) and m == vscale(t, d)
-
-
 def _height_tables(g: WeylGroup, rs: RootSystem, orbit: OrbitParameter,
                    mu: TVector):
-    """pre[j][u] = <lambda_j, u lambda>, lvl[j][t] = <lambda_j, t mu>.
+    """The int tables pre[j][u] = D <lambda_j, u lambda> and
+    lvl[j][t] = D <lambda_j, t mu>, D > 0 the lcm of every denominator in
+    both.
 
     lambda_j is dual to the coroot of alpha_j, so in simple-root
     coordinates <lambda_j, x> = x_j (alpha_j, alpha_j) / 2."""
     half = [rs.gram[j][j] / 2 for j in range(rs.rank)]
     moved = [g.act(t, mu) for t in range(g.order)]
-    pre = tuple(tuple(img[j] * c for img in orbit.images)
-                for j, c in enumerate(half))
-    lvl = tuple(tuple(x[j] * c for x in moved) for j, c in enumerate(half))
+    tables = [[[p[j] * c for p in points] for j, c in enumerate(half)]
+              for points in (orbit.images, moved)]
+    den = lcm(*(x.denominator for table in tables for row in table
+                for x in row))
+    pre, lvl = (tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                      for row in table) for table in tables)
     return pre, lvl
 
 
@@ -174,8 +148,10 @@ def regular_level(g: WeylGroup, rs: RootSystem, orbit: OrbitParameter,
     Every point of a critical segment [v lambda, v s_a lambda] is a tie
     (pick t with t^-1 v a = a_k and j != k: the height in direction
     t lambda_j is constant along it), so the segments only name a tied
-    level's refusal; any other tie is a wall coincidence at the first
-    (tau, v, j) whose kernel inequality ties.
+    level's refusal, read from the same tables: the first (v, a), v
+    ascending and then a in `rs.positive_roots` order, whose segment holds
+    the level. Any other tie is a wall coincidence at the first (tau, v, j)
+    whose kernel inequality ties.
     """
     if isinstance(mu, RegularLevel) and mu.orbit == orbit:
         return mu
@@ -196,11 +172,24 @@ def regular_level(g: WeylGroup, rs: RootSystem, orbit: OrbitParameter,
     tied = [t for t in range(g.order)
             if any(lvl[j][t] in hs for j, hs in enumerate(heights))]
     if tied:
-        for a, b, v, alpha in gkm_segments(g, rs, orbit):
-            if _on_segment(mu, a, b):
-                raise MuNotRegularValue(
-                    f"on the critical segment [v.lam, v.s_a.lam] "
-                    f"with v id {v}, alpha {_fmt(alpha)}")
+        # the columns pre[.][u] and lvl[.][0] (id 0 is the identity) are
+        # u lambda and mu in simple-root coordinates times the positive
+        # factors D (alpha_j, alpha_j) / 2, so mu is on [a, b] iff mu - a
+        # is s (b - a) with 0 <= s <= 1, tested by cross-multiplying
+        reflections = [(alpha, g.reflection_element(alpha))
+                       for alpha in rs.positive_roots]
+        for v in range(g.order):
+            a = [row[v] for row in pre]
+            m = [row[0] - x for row, x in zip(lvl, a)]
+            for alpha, refl in reflections:
+                u = g.multiply(v, refl)
+                d = [row[u] - x for row, x in zip(pre, a)]
+                k = next(i for i, x in enumerate(d) if x)
+                if (0 <= m[k] * d[k] <= d[k] * d[k]
+                        and all(x * d[k] == y * m[k] for x, y in zip(m, d))):
+                    raise MuNotRegularValue(
+                        f"on the critical segment [v.lam, v.s_a.lam] "
+                        f"with v id {v}, alpha {_fmt(alpha)}")
         ti = min(tied, key=g.inverse)
         tau = g.inverse(ti)
         v, j = next((v, j) for v in range(g.order) for j in range(rs.rank)
@@ -224,24 +213,6 @@ def is_regular(g: WeylGroup, rs: RootSystem, orbit: OrbitParameter,
 
 def _fmt(x: TVector) -> str:
     return "(" + ", ".join(str(c) for c in x) + ")"
-
-
-def facet_normals(g: WeylGroup, rs: RootSystem,
-                  orbit: OrbitParameter) -> list[TVector]:
-    """Chamber directions whose touching set spans a full facet; for a
-    generic orbit this is every chamber direction (the walls remark)."""
-    out = []
-    for d in chamber_directions(g, rs):
-        heights = [rs.inner(d, p) for p in orbit.images]
-        top = max(heights)
-        touch = [orbit.images[v] for v, h in enumerate(heights) if h == top]
-        base = touch[0]
-        acc = IncrementalRank()
-        for p in touch[1:]:
-            acc.add_row({i: c for i, c in enumerate(vsub(p, base)) if c != 0})
-        if acc.rank == rs.rank - 1:
-            out.append(d)
-    return out
 
 
 # -- the main enumeration ------------------------------------------------------
@@ -398,13 +369,7 @@ def tw_oracle_generators(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
     this path.
     """
     level = regular_level(g, rs, orbit, mu)
-    # Every margin pre[j][u] - lvl[j][t] is over the lcm of the tables'
-    # denominators; scaling both tables by it makes the margins ints and
-    # keeps every sign, and each margin row's half-space.
-    den = lcm(*(x.denominator for table in (level.pre, level.lvl)
-                for row in table for x in row))
-    pre, lvl = [[[x.numerator * (den // x.denominator) for x in row]
-                 for row in table] for table in (level.pre, level.lvl)]
+    pre, lvl = level.pre, level.lvl
     l = rs.rank
     inv = g.inverse
     mult = g.multiply

@@ -279,10 +279,6 @@ class LinearSubstitution:
         return Polynomial(self.nvars, out)
 
 
-def divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p.divide_exact(q)
-
-
 def monomial_basis(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of the given total degree, graded-lex descending."""
     if degree < 0:

@@ -299,12 +299,12 @@ def _validate(rs: RootSystem) -> None:
     m = [list(row) for row in rs.gram]
     for k in range(1, l + 1):
         assert _det([row[:k] for row in m[:k]]) > 0, "gram not positive definite"
-    # weights dual to coroots
-    for i in range(l):
-        for j in range(l):
-            alpha = rs.simple_root(j)
-            pairing = 2 * rs.inner(rs.fundamental_weights[i], alpha) / rs.gram[j][j]
-            assert pairing == (1 if i == j else 0), "weight/coroot duality failed"
+    # weights dual to coroots: G[j][k] = d_j C[j][k] is symmetric, so
+    # 2<lambda_i, a_j>/<a_j, a_j> = 2 d_j (C lambda_i)_j / (2 d_j), and the
+    # pairings of lambda_i are its chamber coefficients C lambda_i = e_i
+    for i, w in enumerate(rs.fundamental_weights):
+        assert rs.chamber_coefficients(w) == rs.simple_root(i), \
+            "weight/coroot duality failed"
 
 
 def _det(m: list[list[Q]]) -> Q:

@@ -131,10 +131,6 @@ class EquivariantClass:
             {v: p * q for v, p in self.restrictions.items()})
 
 
-def support(c: EquivariantClass) -> set[int]:
-    return c.support()
-
-
 @dataclass(frozen=True)
 class SchubertCoefficients:
     """Coefficients of one class in a twisted basis: w -> a_w (nonzero)."""

@@ -19,7 +19,7 @@ from weightvar.schubert import SchubertCalculus
 from weightvar.weyl import generate_weyl
 
 from test_kirwan import (A2_CHAMBER_MUS, A2_NEARBY, A3_MU, A3_NEARBY, B2_MUS,
-                         B2_NEARBY)
+                         B2_NEARBY, _critical_segments)
 from test_schubert import random_homogeneous_class
 
 
@@ -153,7 +153,7 @@ def _dims_both_ways(rs, g, calc, orbit, mu, dmax):
 
 def _segment_sign_vector(rs, g, orbit, mu):
     out = []
-    for a, b, _, _ in K.gkm_segments(g, rs, orbit):
+    for a, b, _, _ in _critical_segments(g, rs, orbit):
         d, m = vsub(b, a), vsub(mu, a)
         c = d[0] * m[1] - d[1] * m[0]
         out.append(0 if c == 0 else (1 if c > 0 else -1))

@@ -7,7 +7,7 @@ import pytest
 from weightvar import kirwan as K
 from weightvar.errors import DimensionMismatch, NonExactDivision
 from weightvar.poly import (IncrementalRank, LinearSubstitution, ModularRank,
-                            Polynomial, divide_exact, monomial_basis)
+                            Polynomial, monomial_basis)
 
 
 def P(nvars, terms):

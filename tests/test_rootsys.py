@@ -1,10 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
 from weightvar.errors import (DimensionMismatch, InvalidRank,
                               RankLimitExceeded)
-from weightvar.rootsys import build_root_system
+from weightvar.rootsys import _validate, build_root_system, vscale
 
 
 def a(rs, i):
@@ -75,6 +76,11 @@ def test_weights_dual_to_coroots():
             for j in range(r):
                 pairing = 2 * rs.inner(w, a(rs, j)) / rs.gram[j][j]
                 assert pairing == (1 if i == j else 0)
+        # the build's own check refuses weights that are not dual
+        fw = rs.fundamental_weights
+        for bad in [(vscale(Q(2), fw[0]),) + fw[1:], fw[1:] + fw[:1]]:
+            with pytest.raises(AssertionError, match="duality"):
+                _validate(replace(rs, fundamental_weights=bad))
 
 
 def test_chamber_coefficients():

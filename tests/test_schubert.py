@@ -6,7 +6,7 @@ import pytest
 from weightvar.cache import cache_path, load_table, store_table
 from weightvar.errors import InhomogeneousInput
 from weightvar.poly import IncrementalRank, Polynomial, monomial_basis
-from weightvar.schubert import EquivariantClass, SchubertCalculus, support
+from weightvar.schubert import EquivariantClass, SchubertCalculus
 
 
 def wid(g, word):
@@ -164,10 +164,10 @@ def test_support_operation(session):
     ctx = session("A", 2)
     calc, g = ctx.calc, ctx.group
     s1 = wid(g, (0,))
-    assert support(calc.unit_class()) == set(range(g.order))
-    assert support(calc.schubert_class(s1)) == {0, s1}
+    assert calc.unit_class().support() == set(range(g.order))
+    assert calc.schubert_class(s1).support() == {0, s1}
     zero = EquivariantClass(2, 3, {})
-    assert support(zero) == set()
+    assert zero.support() == set()
 
 
 def test_weyl_twist(session):
