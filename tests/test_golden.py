@@ -151,6 +151,14 @@ GOLDEN = [
      "check --type A --rank 3 --lambda 1,2,1 --mu=1/5,1/7,1/11",
      "b175fc02e51abcd1e062e9213fc2f0b0fe66b4ba103220059abb3a157f60032f",
      EMPTY, 0),
+    ("check-B2-level",
+     "check --type B --rank 2 --lambda 1,3 --mu=-559/873,-785/873",
+     "92454e5e7fc01be663a005369d0e475fe12d7a34fa71a77f0be10c4bc38619e7",
+     EMPTY, 0),
+    ("check-G2-level",
+     "check --type G --rank 2 --lambda 1,1 --mu=-82/63,286/357",
+     "fb0cff02c017f7ce002a3dfa2c131316251485b9ea92b5221c205e4f5d5de746",
+     EMPTY, 0),
     # the root-system and Weyl-group reports
     ("roots-A1", "roots --type A --rank 1",
      "8bd5abf1fd36beb63ea83ac2b274cb1621140c03509825ed0e03160d2c5b6a38",
@@ -178,6 +186,9 @@ GOLDEN = [
      EMPTY, 0),
     ("roots-A4", "roots --type A --rank 4",
      "aaba9f40a011f5da97e0fedebcffd27e65418715181e6b5bc9c246693387d66f",
+     EMPTY, 0),
+    ("roots-B5", "roots --type B --rank 5",
+     "7d08ad605d5239500b9101764f6ad212e6d19e160cf2932b11fa2af40007d5b6",
      EMPTY, 0),
     ("weyl-A1", "weyl --type A --rank 1",
      "dae0e346f2e9a246df4ca3c41f4ba264fe5f8bee6e85df4190c8908760092872",
