@@ -170,14 +170,15 @@ def _word_json(g: WeylGroup, w: int) -> dict:
 
 
 def _cmd_roots(cfg: JobConfig) -> dict:
-    rs, _, _ = _session(cfg)
+    rs = build_root_system(cfg.type_label, cfg.rank, max_rank=cfg.max_rank)
     out = rs.to_json()
     out["positive_count"] = len(rs.positive_roots)
     return out
 
 
 def _cmd_weyl(cfg: JobConfig) -> dict:
-    _, g, _ = _session(cfg)
+    g = generate_weyl(build_root_system(cfg.type_label, cfg.rank,
+                                        max_rank=cfg.max_rank))
     counts: dict[int, int] = {}
     for e in g.elements:
         counts[e.length] = counts.get(e.length, 0) + 1
@@ -218,6 +219,25 @@ def _orbit_level(cfg: JobConfig, rs: RootSystem, g: WeylGroup):
     orbit = kirwan.orbit_parameter(g, rs, cfg.lambda_coeffs)
     mu = kirwan.mu_from_weight_coords(rs, cfg.mu_coords)
     return orbit, mu
+
+
+def _compare_routes(calc: SchubertCalculus, level: kirwan.RegularLevel):
+    """(theorem, oracle, same_classes, dims_theorem, dims_oracle): both
+    routes' generators at a certified level and the graded dimensions of
+    each route's ideal up to len(w0). Equal class sets span the same ideal
+    in any order, so the oracle's is eliminated only if its classes differ.
+    """
+    g, rs = calc.group, calc.rs
+    theorem = kirwan.kernel_generators(g, rs, calc, level.orbit, level)
+    oracle = kirwan.tw_oracle_generators(g, rs, calc, level.orbit, level)
+    classes_t = kirwan.generator_classes(calc, theorem)
+    classes_o = kirwan.generator_classes(calc, oracle)
+    same = {c.key() for c in classes_t} == {c.key() for c in classes_o}
+    top = g.elements[g.w0].length
+    dims_t = kirwan.ideal_graded_dims(g, rs, calc, classes_t, top)
+    dims_o = (dims_t if same
+              else kirwan.ideal_graded_dims(g, rs, calc, classes_o, top))
+    return theorem, oracle, same, dims_t, dims_o
 
 
 def _generators_json(g: WeylGroup, specs) -> list[dict]:
@@ -264,26 +284,17 @@ def _cmd_betti(cfg: JobConfig) -> dict:
 
 def _cmd_oracle_compare(cfg: JobConfig) -> dict:
     rs, g, calc = _session(cfg)
-    orbit, mu = _orbit_level(cfg, rs, g)
-    level = kirwan.regular_level(g, rs, orbit, mu)
-    theorem = kirwan.kernel_generators(g, rs, calc, orbit, level)
-    oracle = kirwan.tw_oracle_generators(g, rs, calc, orbit, level)
-    top = g.elements[g.w0].length
-    classes_t = kirwan.generator_classes(calc, theorem)
-    classes_o = kirwan.generator_classes(calc, oracle)
-    dims_t = kirwan.ideal_graded_dims(g, rs, calc, classes_t, top)
-    dims_o = kirwan.ideal_graded_dims(g, rs, calc, classes_o, top)
-    same_classes = ({c.key() for c in classes_t}
-                    == {c.key() for c in classes_o})
+    level = kirwan.regular_level(g, rs, *_orbit_level(cfg, rs, g))
+    theorem, oracle, same, dims_t, dims_o = _compare_routes(calc, level)
     return {
         "type": cfg.type_label,
         "rank": cfg.rank,
         "lambda": poly_free_vector(cfg.lambda_coeffs),
         "mu": poly_free_vector(cfg.mu_coords),
-        "max_half_degree": top,
+        "max_half_degree": g.elements[g.w0].length,
         "theorem_count": len(theorem),
         "oracle_count": len(oracle),
-        "same_classes": same_classes,
+        "same_classes": same,
         "ideal_dims_theorem": dims_t,
         "ideal_dims_oracle": dims_o,
         "dims_equal": dims_t == dims_o,
@@ -324,8 +335,7 @@ def run_checks(cfg: JobConfig) -> dict:
     level costs no more than it does in `kernel`."""
     rs, g, calc = _session(cfg)
     if cfg.lambda_coeffs:
-        orbit, mu = _orbit_level(cfg, rs, g)
-        level = kirwan.regular_level(g, rs, orbit, mu)
+        level = kirwan.regular_level(g, rs, *_orbit_level(cfg, rs, g))
     rng = random.Random(cfg.seed)
     results = []
 
@@ -391,12 +401,16 @@ def run_checks(cfg: JobConfig) -> dict:
     record("decompose_roundtrip", ok)
 
     if cfg.lambda_coeffs:
+        # the heights <xi, u lambda> and <xi, mu> in each chamber direction
+        # xi = tau lambda_j, computed here and not read from kirwan's tables
+        heights = {}
         ok = True
         for tau in range(g.order):
             ti = g.inverse(tau)
-            for lam_j in rs.fundamental_weights:
+            for j, lam_j in enumerate(rs.fundamental_weights):
                 xi = g.act(tau, lam_j)
-                h = [rs.inner(xi, p) for p in orbit.images]
+                h = [rs.inner(xi, p) for p in level.orbit.images]
+                heights[tau, j] = h, rs.inner(xi, level.mu)
                 for v in range(g.order):
                     for w in range(g.order):
                         if h[v] > h[w] and g.bruhat_leq(g.multiply(ti, v),
@@ -404,22 +418,14 @@ def run_checks(cfg: JobConfig) -> dict:
                             ok = False
         record("height_monotonicity", ok)
 
-        specs = kirwan.kernel_generators(g, rs, calc, orbit, level)
-        classes = kirwan.generator_classes(calc, specs)
+        specs, _, _, dims_t, dims_o = _compare_routes(calc, level)
         ok = True
-        for s, cl in zip(specs, classes):
+        for s, cl in zip(specs, kirwan.generator_classes(calc, specs)):
             for j in s.witnesses:
-                xi = g.act(s.tau, rs.fundamental_weights[j])
-                lvl = rs.inner(xi, mu)
-                if any(rs.inner(xi, orbit.images[w]) > lvl
-                       for w in cl.support()):
+                h, at_mu = heights[s.tau, j]
+                if any(h[w] > at_mu for w in cl.support()):
                     ok = False
         record("generator_one_sidedness", ok)
-
-        oracle = kirwan.tw_oracle_generators(g, rs, calc, orbit, level)
-        dims_t = kirwan.ideal_graded_dims(g, rs, calc, classes, top)
-        dims_o = kirwan.ideal_graded_dims(
-            g, rs, calc, kirwan.generator_classes(calc, oracle), top)
         record("oracle_ideal_agreement", dims_t == dims_o,
                f"theorem {dims_t} oracle {dims_o}")
 

@@ -181,14 +181,6 @@ class Polynomial:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
 
-    # -- substitution -------------------------------------------------------
-
-    def apply_matrix(self, matrix) -> "Polynomial":
-        """Substitute variable i by the linear form in column i of `matrix`
-        (the image of the i-th simple root under a linear map) and expand.
-        Realizes the Weyl action on S(t*)."""
-        return LinearSubstitution(matrix)(self)
-
     # -- exact division ------------------------------------------------------
 
     def divide_exact(self, q: "Polynomial") -> "Polynomial":
@@ -233,7 +225,9 @@ class Polynomial:
 class LinearSubstitution:
     """Variable substitution by linear forms, with a memo of monomial images.
 
-    The Weyl action applies the same matrix to thousands of polynomials, so
+    Variable i goes to the linear form in column i of `matrix` (the image
+    of the i-th simple root), which realizes the Weyl action on S(t*). The
+    Weyl action applies the same matrix to thousands of polynomials, so
     the image of every monomial met is kept for the life of the instance,
     as a sparse {exponent: coefficient} map; build one instance per matrix
     and reuse it. Each image is the image one degree lower times one

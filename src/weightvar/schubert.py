@@ -222,9 +222,6 @@ class SchubertCalculus:
             self._schubert[w] = got
         return got
 
-    def unit_class(self) -> EquivariantClass:
-        return self.schubert_class(self.group.w0)
-
     def weyl_twist(self, c: EquivariantClass, tau: int) -> EquivariantClass:
         """Translate a class: (tau.c)|_v = tau applied to c|_{tau^{-1} v}."""
         g = self.group

@@ -42,7 +42,9 @@ def parse_rational(text: str) -> Q:
 
 
 def parse_rational_list(text: str, expect: int | None = None) -> tuple[Q, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise ConfigError(f"empty field in the list {text!r}")
     values = tuple(parse_rational(p) for p in parts)
     if expect is not None and len(values) != expect:
         raise ConfigError(f"expected {expect} comma-separated rationals, "

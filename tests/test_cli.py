@@ -83,6 +83,67 @@ def test_check_command(capsys, tmp_path):
     assert "oracle_ideal_agreement" in names
 
 
+def _count_eliminations(monkeypatch) -> list:
+    """Record (generator count, dims) of every `ideal_graded_dims` call."""
+    calls = []
+    real = cli.kirwan.ideal_graded_dims
+
+    def counted(g, rs, calc, generators, dmax):
+        calls.append((len(generators), real(g, rs, calc, generators, dmax)))
+        return calls[-1][1]
+    monkeypatch.setattr(cli.kirwan, "ideal_graded_dims", counted)
+    return calls
+
+
+def test_one_elimination_when_the_routes_agree(capsys, tmp_path, monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    level = ["--type", "A", "--rank", "2", "--lambda", "2,1",
+             "--mu=85/202,-49/202", "--cache-dir", str(tmp_path)]
+    code, out, _ = run_cli(capsys, ["oracle-compare", *level])
+    data = json.loads(out)
+    assert code == 0 and data["same_classes"] and data["dims_equal"]
+    assert calls == [(data["theorem_count"], data["ideal_dims_theorem"])]
+    calls.clear()
+    code, out, _ = run_cli(capsys, ["check", *level])
+    assert code == 0 and json.loads(out)["all_passed"]
+    assert len(calls) == 1
+
+
+def test_differing_routes_run_both_eliminations(capsys, tmp_path,
+                                                monkeypatch):
+    # the A1 kernel at mu = 0 has two generators, and one alone spans less
+    calls = _count_eliminations(monkeypatch)
+    real = cli.kirwan.tw_oracle_generators
+    monkeypatch.setattr(cli.kirwan, "tw_oracle_generators",
+                        lambda *args: real(*args)[1:])
+    level = ["--type", "A", "--rank", "1", "--lambda", "1", "--mu", "0",
+             "--cache-dir", str(tmp_path)]
+    code, out, _ = run_cli(capsys, ["oracle-compare", *level])
+    data = json.loads(out)
+    assert code == 0
+    assert (data["theorem_count"], data["oracle_count"]) == (2, 1)
+    assert data["same_classes"] is False
+    assert calls == [(2, [0, 2]), (1, [0, 1])]
+    assert (data["ideal_dims_theorem"], data["ideal_dims_oracle"],
+            data["dims_equal"]) == ([0, 2], [0, 1], False)
+    calls.clear()
+    code, out, _ = run_cli(capsys, ["check", *level])
+    assert code == 4
+    assert calls == [(2, [0, 2]), (1, [0, 1])]
+    assert json.loads(out)["checks"][-1] == {
+        "name": "oracle_ideal_agreement", "status": "fail",
+        "detail": "theorem [0, 2] oracle [0, 1]"}
+
+
+def test_roots_reads_only_the_root_system(capsys, tmp_path):
+    # W(E8) has 696,729,600 elements; the report needs none of them
+    code, out, err = run_cli(capsys, ["roots", "--type", "E", "--rank", "8",
+                                      "--max-rank", "8",
+                                      "--cache-dir", str(tmp_path)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["positive_count"] == 120
+
+
 def test_exit_code_not_regular(capsys, tmp_path):
     code, out, err = run_cli(capsys, [
         "betti", "--type", "A", "--rank", "1", "--lambda", "1", "--mu", "1",
@@ -128,11 +189,19 @@ def test_exit_code_bad_config(capsys, tmp_path):
         # check takes both of --lambda and --mu, or neither
         ["check", "--type", "A", "--rank", "2", "--lambda", "1,1"],
         ["check", "--type", "A", "--rank", "2", "--mu", "0,0"],
+        # an empty field in a list is refused, not dropped
+        ["kernel", "--type", "A", "--rank", "2", "--lambda", "1,,1",
+         "--mu=1/5,1/10"],
+        ["kernel", "--type", "A", "--rank", "2", "--lambda", "1,1,",
+         "--mu=1/5,1/10"],
+        ["kernel", "--type", "A", "--rank", "2", "--lambda", "1,1",
+         "--mu=1/5,1/10,"],
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, argv + ["--cache-dir", str(tmp_path)])
         assert code == 3, argv
         jsonschema.validate(json.loads(err), schema("error"))
+    assert json.loads(err)["message"] == "empty field in the list '1/5,1/10,'"
 
 
 def test_exit_code_internal(capsys, tmp_path, monkeypatch):

@@ -561,7 +561,7 @@ def test_ideal_graded_dims_examples(session):
     gens = K.generator_classes(calc, specs)
     assert K.ideal_graded_dims(g, rs, calc, gens, 1) == [0, 2]
     assert K.ideal_graded_dims(g, rs, calc, [], 3) == [0, 0, 0, 0]
-    unit = [calc.unit_class()]
+    unit = [calc.schubert_class(g.w0)]
     assert K.ideal_graded_dims(g, rs, calc, unit, 2) == \
         K.h_slice_dims(g, rs, 2)
 
@@ -663,7 +663,7 @@ def test_ideal_graded_dims_match_two_pass_reference(session, t, r, lam):
     # unit class, every half-degree up to len(w0)
     rs, g, calc, orbit = mk(session, t, r, lam)
     top = g.elements[g.w0].length
-    lists = [[], [calc.unit_class()]]
+    lists = [[], [calc.schubert_class(g.w0)]]
     for mu in _seeded_levels(rs, g, calc, orbit, random.Random(19),
                              1 if r >= 3 else 2):
         for route in (K.kernel_generators, K.tw_oracle_generators):

@@ -54,15 +54,16 @@ def test_apply_matrix_examples(session):
     ctx1 = session("A", 1)
     g1 = ctx1.group
     p = Polynomial.linear_form((Q(1),))
-    assert p.apply_matrix(g1.elements[1].action) == Polynomial.linear_form((Q(-1),))
+    assert LinearSubstitution(g1.elements[1].action)(p) == \
+        Polynomial.linear_form((Q(-1),))
     # identity leaves polynomials alone
     ctx2 = session("A", 2)
     g2 = ctx2.group
     prod = A1 * A2
-    assert prod.apply_matrix(g2.elements[0].action) == prod
+    assert LinearSubstitution(g2.elements[0].action)(prod) == prod
     # s1(a1*a2) = (-a1)(a1+a2) = -a1^2 - a1*a2, expanded by hand
     s1 = next(e.id for e in g2.elements if e.word == (0,))
-    assert prod.apply_matrix(g2.elements[s1].action) == \
+    assert LinearSubstitution(g2.elements[s1].action)(prod) == \
         P(2, {(2, 0): -1, (1, 1): -1})
 
 
@@ -78,18 +79,16 @@ def test_apply_matrix_is_ring_homomorphism_and_action(session):
     for _ in range(10):
         p, q = rand_poly(), rand_poly()
         for w in range(g.order):
-            m = g.elements[w].action
-            assert (p * q).apply_matrix(m) == \
-                p.apply_matrix(m) * q.apply_matrix(m)
-            assert (p + q).apply_matrix(m) == \
-                p.apply_matrix(m) + q.apply_matrix(m)
+            m = LinearSubstitution(g.elements[w].action)
+            assert m(p * q) == m(p) * m(q)
+            assert m(p + q) == m(p) + m(q)
     for a in range(g.order):
         for b in range(g.order):
             ab = g.multiply(a, b)
             p = rand_poly()
-            assert p.apply_matrix(g.elements[ab].action) == \
-                p.apply_matrix(g.elements[b].action).apply_matrix(
-                    g.elements[a].action)
+            act = [LinearSubstitution(g.elements[x].action)
+                   for x in (ab, a, b)]
+            assert act[0](p) == act[1](act[2](p))
 
 
 def _evaluate(p, point):
@@ -121,7 +120,7 @@ def test_apply_matrix_matches_evaluation_at_transformed_point(session,
         subst = LinearSubstitution(m)
         for p in polys:
             image = subst(p)
-            assert image == p.apply_matrix(m)
+            assert image == LinearSubstitution(m)(p)  # a fresh memo
             for _ in range(3):
                 y = [rng.randint(-4, 4) for _ in range(rank)]
                 x = [sum(m[r][i] * y[r] for r in range(rank))
@@ -131,24 +130,25 @@ def test_apply_matrix_matches_evaluation_at_transformed_point(session,
 
 def test_apply_matrix_coefficient_types(session):
     g = session("B", 2).group
-    m = next(e.action for e in g.elements if e.word == (0, 1))
+    m = LinearSubstitution(next(e.action for e in g.elements
+                                if e.word == (0, 1)))
     integral = P(2, {(2, 1): 3, (0, 3): -1, (1, 0): 5})
-    image = integral.apply_matrix(m)
+    image = m(integral)
     assert image.terms and all(type(c) is int
                                for c in image.terms.values())
     assert image.key() == tuple((e, int(c), 1)
                                 for e, c in image.sorted_terms())
     # sums, differences and products of int coefficients stay ints
-    other = P(2, {(3, 0): 1, (2, 1): 2}).apply_matrix(m)
+    other = m(P(2, {(3, 0): 1, (2, 1): 2}))
     for q in (image + other, image - other, image * other):
         assert q.terms and all(type(c) is int for c in q.terms.values())
     half =P(2, {(2, 1): Q(1, 2), (0, 3): -1})
-    image = half.apply_matrix(m)
+    image = m(half)
     assert all(isinstance(c, (int, Q)) for c in image.terms.values())
     assert any(isinstance(c, Q) and c.denominator == 2
                for c in image.terms.values())
-    assert image == (P(2, {(2, 1): 1}).apply_matrix(m).scale(Q(1, 2))
-                     - P(2, {(0, 3): 1}).apply_matrix(m))
+    assert image == (m(P(2, {(2, 1): 1})).scale(Q(1, 2))
+                     - m(P(2, {(0, 3): 1})))
 
 
 def test_divide_exact_examples():

@@ -135,14 +135,14 @@ def test_schubert_class_unit_and_point(session):
     assert xe.half_degree == 1
     assert xe.support() == {0}
     assert xe.restriction(0) == lf((-1,))
-    unit = calc1.unit_class()
+    unit = calc1.schubert_class(g1.w0)
     assert unit.half_degree == 0
     assert all(unit.restriction(v) == Polynomial.one(1)
                for v in range(g1.order))
 
     ctx2 = session("A", 2)
     calc2, g2 = ctx2.calc, ctx2.group
-    unit2 = calc2.unit_class()
+    unit2 = calc2.schubert_class(g2.w0)
     assert unit2.support() == set(range(g2.order))
     assert all(p == Polynomial.one(2) for p in unit2.restrictions.values())
 
@@ -164,7 +164,7 @@ def test_support_operation(session):
     ctx = session("A", 2)
     calc, g = ctx.calc, ctx.group
     s1 = wid(g, (0,))
-    assert calc.unit_class().support() == set(range(g.order))
+    assert calc.schubert_class(g.w0).support() == set(range(g.order))
     assert calc.schubert_class(s1).support() == {0, s1}
     zero = EquivariantClass(2, 3, {})
     assert zero.support() == set()
@@ -216,8 +216,8 @@ def test_integrate(session):
     s1 = wid(g, (0,))
     assert calc.integrate(calc.schubert_class(0)) == Polynomial.one(2)
     assert calc.integrate(calc.schubert_class(s1)).is_zero()
-    assert calc.integrate(calc.schubert_class(0) * calc.unit_class()) == \
-        Polynomial.one(2)
+    unit = calc.schubert_class(g.w0)
+    assert calc.integrate(calc.schubert_class(0) * unit) == Polynomial.one(2)
     ctx_b = session("B", 2)
     assert ctx_b.calc.integrate(ctx_b.calc.schubert_class(0)) == \
         Polynomial.one(2)
@@ -260,7 +260,7 @@ def test_decompose_examples(session):
     assert sc.coeffs == {s1: Polynomial.one(2)}
     # scalar multiples of the unit land on the top index
     q = Polynomial(2, {(2, 0): Q(3), (1, 1): Q(-1, 2)})
-    sc = calc.decompose(calc.unit_class().scale_poly(q), 0)
+    sc = calc.decompose(calc.schubert_class(g.w0).scale_poly(q), 0)
     assert sc.coeffs == {g.w0: q}
     # product reassembles exactly
     prod = calc.schubert_class(s1) * calc.schubert_class(s2)
