@@ -97,6 +97,17 @@ GOLDEN = [
      "--mu=1551/1559,405/1559,-1728/1559",
      "08d92c1dd27eb882ea2a2e0937634dacdf362b65e603059787168aab990a5a31",
      EMPTY, 0),
+    # an explicit --dmax, up to len(w0), past the guard degrees
+    ("betti-A3-dmax",
+     "betti --type A --rank 3 --lambda 2,1,3 "
+     "--mu=1551/1559,405/1559,-1728/1559 --dmax 6",
+     "d9dc91d791424abaa69169e756053ad58be3da2663041ca75b69ef7b6c52e488",
+     EMPTY, 0),
+    # the B3 reference level, (1,6,19,32,19,6,1)
+    ("betti-B3",
+     "betti --type B --rank 3 --lambda 1,1,1 --mu=-1/3,-1/5,-1/7",
+     "f5317e3e35578976ce34786aec1bb73fa2600e3e9f6780e7572aad6471a5ce72",
+     EMPTY, 0),
     # groups with larger stabilizers of their basis classes
     ("kernel-B3",
      "kernel --type B --rank 3 --lambda 1,2,1 --mu=1/7,-1/5,1/11",
