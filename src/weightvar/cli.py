@@ -402,19 +402,22 @@ def run_checks(cfg: JobConfig) -> dict:
 
     if cfg.lambda_coeffs:
         # the heights <xi, u lambda> and <xi, mu> in each chamber direction
-        # xi = tau lambda_j, computed here and not read from kirwan's tables
+        # xi = tau lambda_j, computed here and not read from kirwan's tables;
+        # W is an isometry, so <tau lambda_j, v lambda> is the base height
+        # <lambda_j, u lambda> at u = tau^-1 v
+        base = [[rs.inner(lam_j, p) for p in level.orbit.images]
+                for lam_j in rs.fundamental_weights]
         heights = {}
         ok = True
         for tau in range(g.order):
             ti = g.inverse(tau)
+            tv = [g.multiply(ti, v) for v in range(g.order)]
             for j, lam_j in enumerate(rs.fundamental_weights):
-                xi = g.act(tau, lam_j)
-                h = [rs.inner(xi, p) for p in level.orbit.images]
-                heights[tau, j] = h, rs.inner(xi, level.mu)
+                h = [base[j][u] for u in tv]
+                heights[tau, j] = h, rs.inner(g.act(tau, lam_j), level.mu)
                 for v in range(g.order):
                     for w in range(g.order):
-                        if h[v] > h[w] and g.bruhat_leq(g.multiply(ti, v),
-                                                        g.multiply(ti, w)):
+                        if h[v] > h[w] and g.bruhat_leq(tv[v], tv[w]):
                             ok = False
         record("height_monotonicity", ok)
 

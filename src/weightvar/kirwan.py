@@ -409,47 +409,77 @@ def ideal_graded_dims(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
     The ideal K is the H_T(pt)-span of the products gen * s_w, so its slice
     K_d is x_1 K_{d-1} + ... + x_l K_{d-1} plus the span of the products of
     degree exactly d. Rows are restriction coordinates, flattened over
-    (fixed point, degree-d monomial). Each slice is one exact elimination:
-    the previous slice's pivot rows, an exact basis of K_{d-1}, shifted by
-    each variable, then the degree-d products, until the rank fills the
-    slice. Its pivot rows are the basis carried up to the next slice.
+    (fixed point, degree-d monomial), the monomials in graded-lex
+    descending order. Each slice is one exact elimination, stopped as soon
+    as its rank fills the slice; its pivot rows, an exact basis, are
+    carried up to the next slice. Rows arrive in three runs:
+
+    * the previous slice's pivot rows shifted by each variable. Multiplying
+      by x_k keeps the fixed point and the lex order of monomials of one
+      degree, so a shift keeps its row primitive and moves its leading
+      column to the image of the old one. A shift whose leading column no
+      earlier shift took is already the pivot the eliminator would store,
+      and is stored unreduced;
+    * the products gen * s_w of degree exactly d;
+    * the shifts whose leading column was taken, reduced as usual.
+
+    Rank does not depend on the order rows arrive in, so every slice is
+    the same. At d = deg(gen) the one product that involves gen is
+    gen * s_{w0}, s_{w0} the unit class. If it does not enlarge the span,
+    or the slice fills before it is offered, gen lies in the span of the
+    other generators' products and of x K_{d-1}, so in their ideal, and no
+    later product gen * s_w is offered.
     """
     l = rs.rank
     top = g.elements[g.w0].length
-    codims = [top - e.length for e in g.elements]
+    of_codim: dict[int, list[int]] = {}
+    for e in g.elements:
+        of_codim.setdefault(top - e.length, []).append(e.id)
     dims = []
+    live = list(generators)
     prev_rows: list[dict[int, int]] = []
-    nm_prev = 0
     for d, h_dim in enumerate(h_slice_dims(g, rs, dmax)):
         monos = monomial_basis(l, d)
         mono_rank = {m: i for i, m in enumerate(monos)}
         nm = len(monos)
-        # shifts[k][i]: the index of x_k times monomial i of degree d - 1
-        shifts = [[mono_rank[m[:k] + (m[k] + 1,) + m[k + 1:]]
-                   for m in monomial_basis(l, d - 1)] for k in range(l)]
-
-        def rows():
-            for prow in prev_rows:
-                for shift in shifts:
-                    row = {}
-                    for col, val in prow.items():
-                        u, i = divmod(col, nm_prev)
-                        row[u * nm + shift[i]] = val
-                    yield row
-            for gen in generators:
-                for w in range(g.order):
-                    if gen.half_degree + codims[w] == d:
-                        prod = gen * calc.schubert_class(w)
-                        yield {u * nm + mono_rank[e]: c
-                               for u, p in prod.restrictions.items()
-                               for e, c in p.terms.items()}
-
+        # moves[k][c]: the column of x_k times the entry in column c of the
+        # previous slice, increasing in c
+        lower = monomial_basis(l, d - 1)
+        moves = [[u * nm + mono_rank[m[:k] + (m[k] + 1,) + m[k + 1:]]
+                  for u in range(g.order) for m in lower] for k in range(l)]
+        # shifts on distinct leading columns are independent, so they never
+        # overfill the slice
         acc = IncrementalRank()
-        for row in rows():
-            if acc.add_row(row) and acc.rank == h_dim:
+        leads: set[int] = set()
+        clashes = []
+        for prow in prev_rows:
+            low = min(prow)
+            for move in moves:
+                if move[low] in leads:
+                    clashes.append((prow, move))
+                else:
+                    leads.add(move[low])
+                    acc.store_pivot(move[low],
+                                    {move[c]: v for c, v in prow.items()})
+        kept = []
+        for gen in live:
+            grew = False
+            for w in of_codim.get(d - gen.half_degree, ()):
+                if acc.rank == h_dim:
+                    break
+                prod = gen * calc.schubert_class(w)
+                grew |= acc.add_row({u * nm + mono_rank[e]: c
+                                     for u, p in prod.restrictions.items()
+                                     for e, c in p.terms.items()})
+            if grew or gen.half_degree != d:
+                kept.append(gen)
+        live = kept
+        for prow, move in clashes:
+            if acc.rank == h_dim:
                 break
+            acc.add_row({move[c]: v for c, v in prow.items()})
         dims.append(acc.rank)
-        prev_rows, nm_prev = acc.pivot_rows(), nm
+        prev_rows = acc.pivot_rows()
     return dims
 
 

@@ -7,9 +7,10 @@ compare, hash and serialize alike). Integral values are held as ints: the
 constructors, `scale` and the Weyl action (`LinearSubstitution`) coerce
 them, and int arithmetic stays int, so the restriction table and every
 class built from it carry ints, whether built or read back by `from_json`
-(`divide_exact` yields Fractions). All grading downstream is in
-half-degrees (a cohomological degree-2d class carries polynomials of total
-degree d); odd cohomology never exists here so it is never represented.
+(`divide_exact` too stores each integral quotient coefficient as an int).
+All grading downstream is in half-degrees (a cohomological degree-2d class
+carries polynomials of total degree d); odd cohomology never exists here
+so it is never represented.
 
 Rank is computed in Python ints by `IncrementalRank`, the one eliminator.
 Each row is scaled once to coprime integers (a row of ints needs no
@@ -20,6 +21,9 @@ happens during elimination. Intermediate rows are not re-normalized: a row
 is divided by the gcd of its entries, and signed to a positive leading
 entry, once, when it is stored as a pivot. Its pivot rows are an exact
 basis of the span, which the graded dimension count carries up one degree.
+There a pivot times a variable is again primitive with a positive leading
+entry, on a known column; when no pivot holds that column yet it is the
+row `add_row` would store, and `store_pivot` stores it without reduction.
 """
 
 from __future__ import annotations
@@ -197,8 +201,8 @@ class Polynomial:
             if any(x < 0 for x in exp):
                 raise NonExactDivision(
                     f"{self.as_string()} is not divisible by {q.as_string()}")
-            coeff = Q(rc, qc)
-            out[exp] = out.get(exp, Q(0)) + coeff
+            coeff = _exact(Q(rc, qc))
+            out[exp] = out.get(exp, 0) + coeff
             rem = rem - q * Polynomial.monomial(exp, coeff)
             if not rem.is_zero() and _grlex_key(rem.leading()[0]) >= _grlex_key(re):
                 raise NonExactDivision("division did not reduce")  # unreachable
@@ -336,9 +340,19 @@ class IncrementalRank:
 
     def pivot_rows(self) -> list[dict[int, int]]:
         """The stored echelon rows, primitive integer rows with a positive
-        leading entry spanning every row added so far; callers read them
-        and must not mutate them."""
+        leading entry spanning every row added or stored so far; callers
+        read them and must not mutate them."""
         return list(self._pivots.values())
+
+    def store_pivot(self, lead: int, row: dict[int, int]) -> None:
+        """Store `row` as the pivot on column `lead` without reducing it.
+
+        The caller vouches that `row` is primitive, that `lead` is its
+        lowest column and holds a positive entry, and that no pivot is
+        stored on `lead` yet: exactly the row `add_row` would store, so the
+        span grows by one. The row is kept, not copied.
+        """
+        self._pivots[lead] = row
 
     def add_row(self, values: dict[int, int | Q]) -> bool:
         row = _int_row(values)

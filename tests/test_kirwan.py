@@ -682,6 +682,58 @@ def test_ideal_graded_dims_match_two_pass_reference(session, t, r, lam):
         assert dims[dim_half + 1:] == full[dim_half + 1:]
 
 
+@pytest.mark.parametrize("t,r,lam,mu", [
+    # the betti levels of tests/test_golden.py, and its kernel-B3 level
+    ("A", 2, (2, 1), (Q(85, 202), Q(-49, 202))),
+    ("B", 2, (1, 3), (Q(-559, 873), Q(-785, 873))),
+    ("G", 2, (1, 1), (Q(-82, 63), Q(286, 357))),
+    ("A", 3, (2, 1, 3), (Q(1551, 1559), Q(405, 1559), Q(-1728, 1559))),
+    ("B", 3, (1, 2, 1), (Q(1, 7), Q(-1, 5), Q(1, 11))),
+])
+def test_ideal_slice_pivots_are_keyed_by_their_leading_column(
+        session, monkeypatch, t, r, lam, mu):
+    # shifted pivots are stored unreduced under the column their shift
+    # moves the old lead to; after every slice each pivot must sit on its
+    # own lowest column, with a positive entry there, and be primitive
+    slices = []
+
+    class Recording(IncrementalRank):
+        def __init__(self):
+            super().__init__()
+            self.stored = 0
+            slices.append(self)
+
+        def store_pivot(self, lead, row):
+            self.stored += 1
+            super().store_pivot(lead, row)
+
+    monkeypatch.setattr(K, "IncrementalRank", Recording)
+    rs, g, calc, orbit = mk(session, t, r, lam)
+    K.quotient_betti(g, rs, calc, orbit, mu_of(rs, mu))
+    assert len(slices) == g.elements[g.w0].length - r + 3
+    assert sum(acc.stored for acc in slices) > 0
+    for acc in slices:
+        for lead, row in acc._pivots.items():
+            assert lead == min(row) and row[lead] > 0
+            assert gcd(*row.values()) == 1
+
+
+@pytest.mark.parametrize("t,r,lam", ORBITS[2:5])
+def test_ideal_graded_dims_ignore_generator_order_and_repeats(
+        session, t, r, lam):
+    # a generator is dropped once its own row adds nothing, so which one
+    # goes depends on the order; the dims must not
+    rs, g, calc, orbit = mk(session, t, r, lam)
+    top = g.elements[g.w0].length
+    for mu in _seeded_levels(rs, g, calc, orbit, random.Random(29),
+                             1 if r >= 3 else 2):
+        for route in (K.kernel_generators, K.tw_oracle_generators):
+            gens = K.generator_classes(calc, route(g, rs, calc, orbit, mu))
+            want = K.ideal_graded_dims(g, rs, calc, gens, top)
+            assert K.ideal_graded_dims(g, rs, calc, gens[::-1], top) == want
+            assert K.ideal_graded_dims(g, rs, calc, gens + gens, top) == want
+
+
 def test_quotient_betti_a1(session):
     rs, g, calc, orbit = mk(session, "A", 1, [1])
     for t in [Q(0), Q(1, 4), Q(-1, 4), Q(3, 5), Q(-3, 5)]:

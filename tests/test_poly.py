@@ -397,7 +397,8 @@ def test_incremental_rank_matches_normalize_every_step_reference():
 ])
 def test_incremental_rank_matches_reference_on_golden_slices(
         session, monkeypatch, t, r, lam, mu):
-    # every ideal slice the Betti count eliminates at the level, row by row
+    # every ideal slice the Betti count eliminates at the level, row by row;
+    # a pivot stored unreduced is a row the reference must accept
     offered = []
 
     class Recording(IncrementalRank):
@@ -410,6 +411,11 @@ def test_incremental_rank_matches_reference_on_golden_slices(
             self.rows.append(values)
             self.got.append(super().add_row(values))
             return self.got[-1]
+
+        def store_pivot(self, lead, row):
+            self.rows.append(dict(row))
+            self.got.append(True)
+            super().store_pivot(lead, row)
 
     monkeypatch.setattr(K, "IncrementalRank", Recording)
     ctx = session(t, r)
