@@ -117,6 +117,15 @@ GOLDEN = [
      "kernel --type C --rank 3 --lambda 2,1,1 --mu=-1/9,1/13,1/5",
      "a90587c040228c4585c6d991e533e152c75c269565cc01f58168f8ddda2459f6",
      EMPTY, 0),
+    # rank 4: thousands of enumerated specs per support class
+    ("kernel-A4",
+     "kernel --type A --rank 4 --lambda 1,2,3,4 --mu=1/5,1/7,1/11,1/13",
+     "200b0a78e2b43ed186d77f8c640515a167c148cc2afb86aef3ba0a69d7f3db7b",
+     EMPTY, 0),
+    ("kernel-D4",
+     "kernel --type D --rank 4 --lambda 1,2,1,1 --mu=1/5,-1/7,1/11,1/13",
+     "560ec805b26558aee37f742c075e07886d89657496b655192977a79aa22a854c",
+     EMPTY, 0),
     ("oracle-compare-A3",
      "oracle-compare --type A --rank 3 --lambda 2,1,3 "
      "--mu=1551/1559,405/1559,-1728/1559",
