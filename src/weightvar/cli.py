@@ -23,7 +23,8 @@ from .cache import cache_path, default_cache_dir, load_table, store_table
 from .errors import (CacheCorrupt, ConfigError, InternalConsistencyError,
                      MuNotRegularValue, WeightvarError)
 from .poly import Polynomial, monomial_basis
-from .rootsys import DEFAULT_MAX_RANK, RootSystem, build_root_system
+from .rootsys import (DEFAULT_MAX_RANK, RootSystem, build_root_system,
+                      check_type_rank)
 from .schubert import SchubertCalculus
 from .serialize import (canonical_json, parse_rational_list, poly_free_vector,
                         rational_str)
@@ -114,8 +115,9 @@ def parse_config(argv: list[str]) -> JobConfig:
     if (lam is None) != (mu is None):
         raise ConfigError("check needs both --lambda and --mu, or neither")
     if lam is not None:
+        # a bad (type, rank) is named before the lists whose length it sets
+        check_type_rank(cfg.type_label, cfg.rank, cfg.max_rank)
         cfg.lambda_coeffs = parse_rational_list(lam, expect=cfg.rank)
-    if mu is not None:
         cfg.mu_coords = parse_rational_list(mu, expect=cfg.rank)
     if cfg.format != "json" and cfg.command not in ("betti", "kernel",
                                                     "restrict"):

@@ -222,8 +222,9 @@ def kernel_generators(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
                       orbit: OrbitParameter,
                       mu: TVector | RegularLevel) -> list[KernelGeneratorSpec]:
     """Enumerate the kernel generators by the height inequality over all
-    (tau, v, j), deduplicated by restriction-vector identity. The level is
-    certified by `regular_level`, so no inequality ties."""
+    (tau, v, j), one spec per class by `_dedupe_by_class`, which twists no
+    class. The level is certified by `regular_level`, so no inequality
+    ties."""
     level = regular_level(g, rs, orbit, mu)
     pre, lvl = level.pre, level.lvl
     inv = g.inverse
@@ -244,38 +245,30 @@ def kernel_generators(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
 
 def _dedupe_by_class(calc: SchubertCalculus,
                      specs: list[KernelGeneratorSpec]) -> list[KernelGeneratorSpec]:
-    """Keep the first spec, in (tau, v) order, of each distinct class,
-    twisting only the classes an exact equality check needs.
+    """Keep the first spec, in (tau, v) order, of each distinct class, named
+    by its basis index w = tau^-1 v and its twisted support, which
+    `twisted_support` reads without twisting any class.
 
-    Equal classes have equal supports, so a spec is compared only with the
-    specs already kept in its support bucket; `twisted_support` needs no
-    polynomial work. The spec (tau, v) is the twist tau.s_w of the basis
-    class s_w, w = tau^-1 v. Twisting is a group action by ring
-    automorphisms, so two twists tau_k.s_w and tau.s_w of one basis class
-    are equal iff h = tau_k^-1 tau fixes s_w: one twist h.s_w per distinct
-    (w, h), which the calculator keeps. Twists of different basis classes
-    are compared as classes.
+    The spec (tau, v) is the twist tau.s_w of the basis class s_w, whose
+    computed support S_w is the Bruhat lower set of w. Claim: tau.s_w =
+    tau'.s_w' iff w = w' and tau S_w = tau' S_w.
+    1. A class of half-degree codim(w) supported in S_w is a s_w for a
+       rational a: a basis term s_u with nonzero coefficient has u <= w and
+       a coefficient of degree len(u) - len(w), negative unless u = w.
+    2. The twist is the left action of N(T) on G/T; G is connected, so it
+       is trivial on ordinary cohomology, where s_w maps to a nonzero class.
+    3. If h = tau'^-1 tau maps S_w onto itself, h.s_w = a s_w by step 1 and
+       a = 1 by step 2. Conversely, equal classes have equal supports and
+       equal ordinary images, so w = w'.
     """
     g = calc.group
-    buckets: dict[frozenset[int], list[tuple[int, int, int]]] = {}
+    seen: set[tuple[int, frozenset[int]]] = set()
     out = []
     for spec in sorted(specs, key=lambda s: (s.tau, s.v)):
-        tau, v = spec.tau, spec.v
-        w = g.multiply(g.inverse(tau), v)
-        bucket = buckets.setdefault(calc.twisted_support(tau, v), [])
-        for tk, vk, wk in bucket:
-            if wk == w:
-                # h.s_w is the twisted class (h, h w), and h w = tk^-1 v
-                tki = g.inverse(tk)
-                h = g.multiply(tki, tau)
-                same = (calc.twisted_class(h, g.multiply(tki, v))
-                        == calc.schubert_class(w))
-            else:
-                same = calc.twisted_class(tk, vk) == calc.twisted_class(tau, v)
-            if same:
-                break
-        else:
-            bucket.append((tau, v, w))
+        key = (g.multiply(g.inverse(spec.tau), spec.v),
+               calc.twisted_support(spec.tau, spec.v))
+        if key not in seen:
+            seen.add(key)
             out.append(spec)
     return out
 

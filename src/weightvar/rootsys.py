@@ -65,13 +65,18 @@ _RANK_RULES = {
 }
 
 
-def _check_type_rank(type_label: str, rank: int) -> None:
+def check_type_rank(type_label: str, rank: int, max_rank: int) -> None:
+    """Refuse an impossible (type, rank) with InvalidRank, then a rank above
+    the enumeration guard with RankLimitExceeded."""
     rule = _RANK_RULES.get(type_label)
     if rule is None:
         raise InvalidRank(f"unknown type label {type_label!r}")
     valid, refusal = rule
     if not valid(rank):
         raise InvalidRank(refusal)
+    if rank > max_rank:
+        raise RankLimitExceeded(
+            f"rank {rank} exceeds the configured maximum {max_rank}")
 
 
 def _cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
@@ -250,15 +255,12 @@ def build_root_system(type_label: str, rank: int,
                       max_rank: int = DEFAULT_MAX_RANK) -> RootSystem:
     """Construct the root system of the given finite type.
 
-    Raises InvalidRank for impossible (type, rank) pairs and
-    RankLimitExceeded above the enumeration guard (default 5): Weyl-group
-    squared enumeration downstream is intractable past that at desk scale.
+    Refuses the pair first by `check_type_rank`: impossible (type, rank)
+    pairs, and ranks above the enumeration guard (default 5), past which
+    Weyl-group squared enumeration downstream is intractable at desk scale.
     """
     type_label = type_label.upper()
-    _check_type_rank(type_label, rank)
-    if rank > max_rank:
-        raise RankLimitExceeded(
-            f"rank {rank} exceeds the configured maximum {max_rank}")
+    check_type_rank(type_label, rank, max_rank)
     cartan = _cartan_matrix(type_label, rank)  # rank^2 entries: past the guard
     d = _root_lengths(cartan)
     gram = [[d[i] * cartan[i][j] for j in range(rank)] for i in range(rank)]

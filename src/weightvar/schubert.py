@@ -147,8 +147,8 @@ class SchubertCalculus:
     there), each from its parent's; `ensure_table` forces the whole matrix.
 
     Basis and twisted-basis classes are kept once built, for the life of the
-    instance, so a query that enumerates, de-duplicates and multiplies the
-    same classes twists each of them once; build one instance per query.
+    instance, so a query twists each class it multiplies once; generator
+    de-duplication reads basis supports only. Build one per query.
     """
 
     def __init__(self, group: WeylGroup):

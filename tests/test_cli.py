@@ -262,6 +262,29 @@ def test_rank_guard_refuses_before_building(capsys, tmp_path):
                                "message": "E_l requires l in {6, 7, 8}"}
 
 
+@pytest.mark.parametrize("argv,error,message", [
+    ("kernel --type Q --rank 2 --lambda 1 --mu=0",
+     "InvalidRank", "unknown type label 'Q'"),
+    ("kernel --type G --rank 3 --lambda 1,1 --mu=0,0",
+     "InvalidRank", "G_l requires l = 2"),
+    ("betti --type B --rank 1 --lambda 1 --mu=0",
+     "InvalidRank", "B_l requires l >= 2"),
+    ("oracle-compare --type A --rank 6 --lambda 1,1 --mu=0,0",
+     "RankLimitExceeded", "rank 6 exceeds the configured maximum 5"),
+    ("check --type A --rank 4 --max-rank 3 --lambda 1 --mu=0",
+     "RankLimitExceeded", "rank 4 exceeds the configured maximum 3"),
+])
+def test_level_commands_refuse_type_and_rank_before_the_lists(
+        capsys, tmp_path, argv, error, message):
+    # the rank sets how many rationals --lambda and --mu must hold, so a bad
+    # (type, rank) or a rank past the guard is named as such, not as a
+    # list of the wrong length
+    code, out, err = run_cli(capsys, argv.split()
+                             + ["--cache-dir", str(tmp_path)])
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": error, "message": message}
+
+
 def test_exact_decimals_accepted_in_cli(capsys, tmp_path):
     code, out, _ = run_cli(capsys, [
         "betti", "--type", "A", "--rank", "1", "--lambda", "1",

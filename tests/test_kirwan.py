@@ -9,7 +9,6 @@ from weightvar.errors import (ConfigError, DegreeOverflow, MuNotRegularValue)
 from weightvar.poly import (IncrementalRank, ModularRank, Polynomial,
                             monomial_basis)
 from weightvar.rootsys import vadd, vscale, vsub
-from weightvar.schubert import SchubertCalculus
 from weightvar.weyl import generate_weyl
 
 
@@ -326,19 +325,24 @@ def test_dedupe_matches_twist_every_class_reference(session, monkeypatch,
         assert r == 1 or len(out) < len(specs)
 
 
-@pytest.mark.parametrize("t,r,lam", ORBITS[1:5])
-def test_dedupe_exact_checks_alone_match_reference(session, monkeypatch,
-                                                   t, r, lam):
-    # with every spec in one support bucket, the stabilizer test and the
-    # class comparison decide every pair on their own
-    rs, g, calc, orbit = mk(session, t, r, lam)
-    levels = _seeded_levels(rs, g, calc, orbit, random.Random(17), 1)
-    calls = _record_dedupe(monkeypatch)
-    K.kernel_generators(g, rs, calc, orbit, levels[0])
-    specs, out = calls[0]
-    one_bucket = SchubertCalculus(g)
-    monkeypatch.setattr(one_bucket, "twisted_support", lambda tau, v: 0)
-    assert _DEDUPE(one_bucket, specs) == out == _reference_dedupe(calc, specs)
+# (type, rank, number of distinct twisted basis classes)
+@pytest.mark.parametrize("t,r,count", [("A", 2, 19), ("B", 2, 33),
+                                       ("G", 2, 73), ("A", 3, 211),
+                                       ("B", 3, 819), ("C", 3, 819)])
+def test_twisted_class_is_determined_by_index_and_support(session, t, r,
+                                                          count):
+    # the key `_dedupe_by_class` reads, (tau^-1 v, twisted support), names
+    # one class, and every class has one such key, over every (tau, v)
+    _, g, calc = ctx_parts(session, t, r)
+    by_name, by_class = {}, {}
+    for tau in range(g.order):
+        for v in range(g.order):
+            name = (g.multiply(g.inverse(tau), v),
+                    calc.twisted_support(tau, v))
+            key = calc.twisted_class(tau, v).key()
+            assert by_name.setdefault(name, key) == key
+            assert by_class.setdefault(key, name) == name
+    assert len(by_class) == count
 
 
 def test_kernel_generators_a1(session):
