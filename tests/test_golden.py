@@ -126,6 +126,10 @@ GOLDEN = [
      "kernel --type D --rank 4 --lambda 1,2,1,1 --mu=1/5,-1/7,1/11,1/13",
      "560ec805b26558aee37f742c075e07886d89657496b655192977a79aa22a854c",
      EMPTY, 0),
+    ("kernel-B4",
+     "kernel --type B --rank 4 --lambda 1,2,1,1 --mu=1/5,-1/7,1/11,1/13",
+     "10a1825c7f3fef5b81ce59b5b3ff23f4fef73bcb337850ce98dd4d248a48b197",
+     EMPTY, 0),
     ("oracle-compare-A3",
      "oracle-compare --type A --rank 3 --lambda 2,1,3 "
      "--mu=1551/1559,405/1559,-1728/1559",
