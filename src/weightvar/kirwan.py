@@ -12,9 +12,11 @@ Two independent enumerations of the kernel generators exist on purpose:
 * kernel_generators tests the closed inequality of the main description
   directly, pair by pair, using only heights of fixed-point images;
 * tw_oracle_generators asks, for each twisted basis element, whether SOME
-  nonzero chamber direction puts its ACTUAL computed support weakly below
+  nonzero chamber direction puts every point of its support weakly below
   the level, as an exact linear feasibility problem solved by
-  Fourier-Motzkin elimination.
+  Fourier-Motzkin elimination. It takes neither shortcut of the first
+  route (the single-weight test, height monotonicity along Bruhat), only
+  the support theorem that `schubert` states and `check` verifies.
 
 Both enumerate at a level certified by regular_level, the one
 regularity test, and read only the height table it certifies: the
@@ -247,10 +249,10 @@ def _dedupe_by_class(calc: SchubertCalculus,
                      specs: list[KernelGeneratorSpec]) -> list[KernelGeneratorSpec]:
     """Keep the first spec, in (tau, v) order, of each distinct class, named
     by its basis index w = tau^-1 v and its twisted support, which
-    `twisted_support` reads without twisting any class.
+    `twisted_support` reads from the Bruhat order.
 
     The spec (tau, v) is the twist tau.s_w of the basis class s_w, whose
-    computed support S_w is the Bruhat lower set of w. Claim: tau.s_w =
+    support S_w is the Bruhat lower set of w. Claim: tau.s_w =
     tau'.s_w' iff w = w' and tau S_w = tau' S_w.
     1. A class of half-degree codim(w) supported in S_w is a s_w for a
        rational a: a basis term s_u with nonzero coefficient has u <= w and
@@ -352,14 +354,14 @@ def _dedupe_rows(rows):
 def tw_oracle_generators(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
                          orbit: OrbitParameter,
                          mu: TVector | RegularLevel) -> list[KernelGeneratorSpec]:
-    """Enumerate generators by exact one-sidedness of the computed supports.
+    """Enumerate generators by exact one-sidedness of the supports.
 
     For each twisted basis element, feasibility over the closed weight
     simplex of 'every support image weakly below the level in direction
     tau(sum r_j lambda_j)' is decided by Fourier-Motzkin elimination, with
-    one constraint per support point, at a level certified by
-    `regular_level`. No Bruhat shortcut and no monotonicity lemma enter
-    this path.
+    one constraint per point u of the Bruhat lower set of tau^-1 v, whose
+    tau-translate is the support, at a level certified by `regular_level`.
+    Neither the single-weight test nor Bruhat monotonicity enters this path.
     """
     level = regular_level(g, rs, orbit, mu)
     pre, lvl = level.pre, level.lvl
@@ -374,11 +376,8 @@ def tw_oracle_generators(g: WeylGroup, rs: RootSystem, calc: SchubertCalculus,
         ti = inv(tau)
         at_level = [lvl[j][ti] for j in range(l)]
         for v in range(g.order):
-            supp = calc.twisted_support(tau, v)
-            margins = []
-            for w in supp:
-                u = mult(ti, w)
-                margins.append([pre[j][u] - at_level[j] for j in range(l)])
+            margins = [[pre[j][u] - at_level[j] for j in range(l)]
+                       for u in g.bruhat_lower_ids(mult(ti, v))]
             # substitute r_l = 1 - sum_{j<l} r_j over the closed simplex
             rows = [(tuple(m[j] - m[l - 1] for j in range(l - 1)), -m[l - 1])
                     for m in margins]

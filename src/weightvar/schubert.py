@@ -14,8 +14,9 @@ words are lex-minimal, so every prefix of one is canonical too: the column
 at v is one walking step from the column at its parent v s, where s is the
 last letter of v's canonical word. The basis actually used downstream is
 the reflected one (apply the longest element to both the index and the
-polynomials); its support is the Bruhat lower set, and translating it by
-any group element gives the twisted bases.
+polynomials); its support is the Bruhat lower set (a nonempty subword sum
+of products of positive roots cannot cancel; `check` tests this), and
+translating it by any group element gives the twisted bases.
 
 Localization: the fixed-point Euler class at v is the product of the
 v-images of the positive roots, which equals the untranslated product up
@@ -147,8 +148,8 @@ class SchubertCalculus:
     there), each from its parent's; `ensure_table` forces the whole matrix.
 
     Basis and twisted-basis classes are kept once built, for the life of the
-    instance, so a query twists each class it multiplies once; generator
-    de-duplication reads basis supports only. Build one per query.
+    instance, so a query twists each class it multiplies once. Supports come
+    from the Bruhat order and build no class. Build one per query.
     """
 
     def __init__(self, group: WeylGroup):
@@ -244,12 +245,12 @@ class SchubertCalculus:
         return got
 
     def twisted_support(self, tau: int, v: int) -> frozenset[int]:
-        """Support of the twisted basis element, without materializing it:
-        the translation acts invertibly on each restriction, so the support
-        is the translate of the computed untwisted support."""
+        """Support of the twisted basis element, read from the Bruhat order
+        without building any class: the translate by tau of the lower set
+        of w = tau^{-1} v, which is the support of the basis class s_w."""
         g = self.group
-        base = self.schubert_class(g.multiply(g.inverse(tau), v))
-        return frozenset(g.multiply(tau, u) for u in base.restrictions)
+        return frozenset(g.multiply(tau, u) for u in
+                         g.bruhat_lower_ids(g.multiply(g.inverse(tau), v)))
 
     # -- localization ----------------------------------------------------------
 

@@ -12,6 +12,7 @@ import pytest
 
 from weightvar import cli
 from weightvar.cache import cache_path
+from weightvar.schubert import SchubertCalculus
 
 # sha256 of the empty string: no output on that stream
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -244,19 +245,29 @@ GOLDEN = [
 ]
 
 
-@pytest.fixture(scope="module")
-def cache_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("golden-cache")
-
-
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("argv,out_sha,err_sha,code",
                          [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
-def test_golden_output(capsys, cache_dir, argv, out_sha, err_sha, code):
-    got = cli.main(argv.split() + ["--cache-dir", str(cache_dir)])
+def test_golden_output(cli_run, argv, out_sha, err_sha, code):
+    out, err, got, _ = cli_run(argv)
+    assert (_sha(out), _sha(err), got) == (out_sha, err_sha, code)
+
+
+@pytest.mark.parametrize("name", ["kernel-A3", "kernel-G2"])
+def test_kernel_builds_no_class(monkeypatch, capsys, tmp_path, name):
+    # every support is read from the Bruhat order, so a kernel query builds
+    # no basis class and no subword-sum column
+    def refuse(*args):
+        raise AssertionError("a kernel query built a class")
+
+    monkeypatch.setattr(SchubertCalculus, "schubert_class", refuse)
+    monkeypatch.setattr(SchubertCalculus, "xi_column", refuse)
+    argv, out_sha, err_sha, code = next(g[1:] for g in GOLDEN
+                                        if g[0] == name)
+    got = cli.main(argv.split() + ["--cache-dir", str(tmp_path)])
     out = capsys.readouterr()
     assert (_sha(out.out), _sha(out.err), got) == (out_sha, err_sha, code)
 

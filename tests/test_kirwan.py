@@ -332,14 +332,17 @@ def test_dedupe_matches_twist_every_class_reference(session, monkeypatch,
 def test_twisted_class_is_determined_by_index_and_support(session, t, r,
                                                           count):
     # the key `_dedupe_by_class` reads, (tau^-1 v, twisted support), names
-    # one class, and every class has one such key, over every (tau, v)
+    # one class, and every class has one such key, over every (tau, v); the
+    # support read from the Bruhat order is the computed class's support
     _, g, calc = ctx_parts(session, t, r)
     by_name, by_class = {}, {}
     for tau in range(g.order):
         for v in range(g.order):
             name = (g.multiply(g.inverse(tau), v),
                     calc.twisted_support(tau, v))
-            key = calc.twisted_class(tau, v).key()
+            cls = calc.twisted_class(tau, v)
+            assert name[1] == frozenset(cls.support())
+            key = cls.key()
             assert by_name.setdefault(name, key) == key
             assert by_class.setdefault(key, name) == name
     assert len(by_class) == count
@@ -478,15 +481,19 @@ def _reference_fourier_motzkin(rows):
 
 
 def _reference_oracle_rows(g, rs, calc, level):
-    """Each (tau, v) oracle problem of `tw_oracle_generators` over
-    Fractions, from the level's unscaled height tables."""
+    """Each (tau, v) oracle problem of `tw_oracle_generators`, from the
+    level's height tables, with one margin row per point of the computed
+    class's support, pulled back by tau^-1 and taken in ascending order,
+    and the simplex rows in Fractions."""
     l = rs.rank
     for tau in range(g.order):
         ti = g.inverse(tau)
         for v in range(g.order):
-            margins = [tuple(level.pre[j][g.multiply(ti, w)] - level.lvl[j][ti]
+            points = sorted(g.multiply(ti, w)
+                            for w in calc.twisted_class(tau, v).support())
+            margins = [tuple(level.pre[j][u] - level.lvl[j][ti]
                              for j in range(l))
-                       for w in calc.twisted_support(tau, v)]
+                       for u in points]
             rows = [(tuple(m[j] - m[l - 1] for j in range(l - 1)), -m[l - 1])
                     for m in margins]
             rows += [(tuple(Q(-1) if k == j else Q(0) for k in range(l - 1)),

@@ -11,7 +11,7 @@ from test_golden import GOLDEN
 
 from weightvar import cli
 from weightvar.cache import cache_path
-from weightvar.serialize import canonical_json, json_text
+from weightvar.serialize import json_text
 
 
 def _reference(obj, indent: int) -> str:
@@ -28,19 +28,12 @@ def _assert_same(got: str, expect: str) -> None:
                     f"!= {expect[i - 30:i + 30]!r}")
 
 
-def test_every_golden_query_object(monkeypatch, capsys, tmp_path):
-    seen = []
-
-    def record(obj):
-        seen.append(obj)
-        return canonical_json(obj)
-
-    monkeypatch.setattr(cli, "canonical_json", record)
+def test_every_golden_query_object(cli_run):
+    # the golden queries' runs are shared with `test_golden_output`, so each
+    # is computed once per session
     queries = [argv for _, argv, _, _, _ in GOLDEN]
     queries += ["roots --type B --rank 3", "weyl --type A --rank 4"]
-    for argv in queries:
-        cli.main(argv.split() + ["--cache-dir", str(tmp_path)])
-    capsys.readouterr()
+    seen = [obj for argv in queries for obj in cli_run(argv)[3]]
     # every query prints one object, on stdout or (a refusal) stderr, except
     # the csv one
     assert len(seen) == len(queries) - 1
